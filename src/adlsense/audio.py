@@ -14,9 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SampleSeries, fft_radix2, raw_stats, stats_values
+from .signals import RAW_STAT_NAMES, SampleSeries, fft_radix2, raw_stats, stats_values
 
-AUDIO_VARIANTS = ("A1", "A2", "A3", "A4")
+# Recipe -> the raw-sample statistics it keeps, in column order. A1 also puts
+# the window-mean cepstral coefficients in front of them.
+AUDIO_RECIPES = {
+    "A1": RAW_STAT_NAMES,
+    "A2": RAW_STAT_NAMES,
+    "A3": ("std", "mean", "variance", "median"),
+    "A4": ("std", "mean"),
+}
+AUDIO_VARIANTS = tuple(AUDIO_RECIPES)
 
 
 @dataclass(frozen=True)
@@ -168,37 +176,26 @@ def mfcc(series: SampleSeries, config: MfccConfig | None = None) -> np.ndarray:
 
 def audio_feature_vector(series: SampleSeries, variant: str = "A1",
                          config: MfccConfig | None = None) -> np.ndarray:
-    """Feature vector for one microphone window under one recipe.
-
-    A1: 26 window-mean cepstral coefficients + std, mean, max, min, variance,
-        median of the raw samples (32 values).
-    A2: the six raw statistics alone.
-    A3: std, mean, variance, median (4 values).
-    A4: std, mean (2 values).
-    """
-    stats = raw_stats(series)
+    """Feature vector for one microphone window under one recipe: the
+    raw-sample statistics ``AUDIO_RECIPES`` names, after the window-mean
+    cepstral coefficients for A1 (26 + 6 = 32 values by default)."""
+    stats = dict(zip(RAW_STAT_NAMES, stats_values(raw_stats(series))))
+    values = [stats[name] for name in _recipe(variant)]
     if variant == "A1":
-        return np.concatenate([mfcc(series, config), stats_values(stats)])
-    if variant == "A2":
-        return np.asarray(stats_values(stats))
-    if variant == "A3":
-        return np.asarray([stats.std_dev, stats.mean, stats.variance, stats.median])
-    if variant == "A4":
-        return np.asarray([stats.std_dev, stats.mean])
-    raise ValueError(f"unknown audio variant {variant!r}, expected one of {AUDIO_VARIANTS}")
+        return np.concatenate([mfcc(series, config), values])
+    return np.asarray(values)
 
 
 def audio_feature_names(variant: str = "A1", config: MfccConfig | None = None) -> list[str]:
     """Column names matching ``audio_feature_vector`` element for element."""
-    if config is None:
-        config = MfccConfig()
+    names = list(_recipe(variant))
     if variant == "A1":
-        mfcc_names = [f"mfcc_{i:02d}" for i in range(config.coefficient_count)]
-        return mfcc_names + ["std", "mean", "max", "min", "variance", "median"]
-    if variant == "A2":
-        return ["std", "mean", "max", "min", "variance", "median"]
-    if variant == "A3":
-        return ["std", "mean", "variance", "median"]
-    if variant == "A4":
-        return ["std", "mean"]
-    raise ValueError(f"unknown audio variant {variant!r}, expected one of {AUDIO_VARIANTS}")
+        count = (config or MfccConfig()).coefficient_count
+        names = [f"mfcc_{i:02d}" for i in range(count)] + names
+    return names
+
+
+def _recipe(variant):
+    if variant not in AUDIO_RECIPES:
+        raise ValueError(f"unknown audio variant {variant!r}, expected one of {AUDIO_VARIANTS}")
+    return AUDIO_RECIPES[variant]

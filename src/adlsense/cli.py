@@ -21,7 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .audio import AUDIO_VARIANTS
+from .audio import AUDIO_VARIANTS, audio_feature_names
 from .datasets import (
     DatasetConfig,
     build_dataset,
@@ -406,11 +406,7 @@ def cmd_extract(args) -> int:
     if not bundles:
         raise UsageError("the input logs contain no windows")
     if cfg.env_mode == "oracle":
-        env_labels = sorted({
-            b.environment if b.environment is not None else b.label
-            for b in bundles
-            if b.environment is not None or b.label_kind == "ENVIRONMENT"
-        })
+        env_labels = sorted({b.known_environment for b in bundles} - {None})
         if not env_labels:
             raise UsageError("--oracle-env needs environment annotations in the logs")
         cfg = DatasetConfig(env_mode="oracle", sensors=cfg.sensors, env_labels=env_labels)
@@ -442,7 +438,7 @@ def _parse_sensors(text):
 
 
 def _audio_variant_for_model(model):
-    widths = {32: "A1", 6: "A2", 4: "A3", 2: "A4"}
+    widths = {len(audio_feature_names(v)): v for v in AUDIO_VARIANTS}
     width = model.layer_sizes[0]
     if width not in widths:
         raise UsageError(
@@ -579,11 +575,7 @@ def cmd_sweep(args) -> int:
     for variant in variants:
         cfg = DatasetConfig()
         if variant in MOTION_VARIANTS and env_mode == "oracle":
-            env_labels = sorted({
-                b.environment if b.environment is not None else b.label
-                for b in bundles
-                if b.environment is not None or b.label_kind == "ENVIRONMENT"
-            })
+            env_labels = sorted({b.known_environment for b in bundles} - {None})
             cfg = DatasetConfig(env_mode="oracle", env_labels=env_labels)
         dataset = build_dataset(bundles, variant, cfg=cfg)
         train_set, test_set = stratified_split(dataset, test_fraction, args.seed)

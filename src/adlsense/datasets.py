@@ -11,6 +11,8 @@ through CSV files whose header row is the feature names plus ``label``.
 
 from __future__ import annotations
 
+import csv
+import itertools
 import shlex
 from dataclasses import dataclass, field, replace
 
@@ -23,7 +25,6 @@ from .motion import (
     MOTION_VARIANTS,
     motion_feature_names,
     motion_feature_vector,
-    sensor_block_length,
 )
 from .network import NetworkModel, classify
 from .signals import DEFAULT_LOW_PASS_ALPHA, SampleSeries, TriaxialSeries
@@ -80,6 +81,13 @@ class WindowBundle:
         if self.audio is not None:
             names.append("MIC")
         return tuple(names)
+
+    @property
+    def known_environment(self) -> str | None:
+        """The annotated environment, else the label of an ENVIRONMENT window."""
+        if self.environment is not None:
+            return self.environment
+        return self.label if self.label_kind == "ENVIRONMENT" else None
 
     def channel_view(self, kind: str) -> "WindowBundle":
         """A copy of this bundle holding only its audio or only its motion."""
@@ -215,9 +223,7 @@ def _build_motion_dataset(bundles, variant, env_source, cfg):
         channels = {s: bundle.motion[s] for s in sensors}
         one_hot = None
         if cfg.env_mode == "oracle":
-            env = bundle.environment
-            if env is None and bundle.label_kind == "ENVIRONMENT":
-                env = bundle.label
+            env = bundle.known_environment
             if env is None:
                 raise ValueError(f"window {bundle.id!r} has no environment annotation")
             if env not in env_index:
@@ -281,11 +287,15 @@ def stratified_split(dataset: LabeledDataset, test_fraction: float, seed: int) -
 
 
 def save_dataset(dataset: LabeledDataset, path) -> None:
-    """CSV with header = feature names + 'label'; full-precision reals."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([*dataset.feature_names, "label"]) + "\n")
+    """CSV with header = feature names + 'label'; full-precision reals.
+
+    A label holding a comma, quote or line break is quoted, so it reads back.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*dataset.feature_names, "label"])
         for row, label in zip(dataset.rows, dataset.labels):
-            fh.write(",".join(repr(v) for v in row.tolist()) + f",{label}\n")
+            writer.writerow([*(repr(v) for v in row.tolist()), label])
 
 
 def load_dataset(path, variant: str | None = None) -> LabeledDataset:
@@ -294,11 +304,16 @@ def load_dataset(path, variant: str | None = None) -> LabeledDataset:
     When ``variant`` is given the header must belong to that recipe,
     otherwise the recipe is inferred from the feature names.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            records = [(reader.line_num, parts) for parts in reader
+                       if len(parts) > 1 or "".join(parts).strip()]
+        except csv.Error as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not records:
         raise FormatError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
+    header = records[0][1]
     if len(header) < 2 or header[-1] != "label":
         raise FormatError(f"{path}: header must end with a 'label' column")
     names = header[:-1]
@@ -308,10 +323,7 @@ def load_dataset(path, variant: str | None = None) -> LabeledDataset:
     if variant is not None and inferred != variant:
         raise FormatError(f"{path}: header is variant {inferred}, expected {variant}")
     rows, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
+    for lineno, parts in records[1:]:
         if len(parts) != len(header):
             raise FormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
         try:
@@ -337,28 +349,16 @@ def infer_variant(names) -> str | None:
     for variant in AUDIO_VARIANTS:
         if names == audio_feature_names(variant):
             return variant
+    block_end = len(names)
+    while block_end and names[block_end - 1].startswith("env_"):
+        block_end -= 1
+    env_labels = [n[len("env_"):] for n in names[block_end:]] or None
     for variant in MOTION_VARIANTS:
-        if _match_motion_names(names, variant):
-            return variant
+        for size in range(1, len(MOTION_SENSOR_ORDER) + 1):
+            for subset in itertools.combinations(MOTION_SENSOR_ORDER, size):
+                if names == motion_feature_names(subset, variant, env_labels):
+                    return variant
     return None
-
-
-def _match_motion_names(names, variant) -> bool:
-    block = sensor_block_length(variant)
-    pos = 0
-    sensors = []
-    for sensor in MOTION_SENSOR_ORDER:
-        prefix = sensor.lower() + "_"
-        if pos < len(names) and names[pos].startswith(prefix):
-            sensors.append(sensor)
-            pos += block
-    if not sensors or pos > len(names):
-        return False
-    env_names = names[pos:]
-    if any(not n.startswith("env_") for n in env_names):
-        return False
-    env_labels = [n[len("env_"):] for n in env_names] or None
-    return names == motion_feature_names(sensors, variant, env_labels)
 
 
 def merge_bundles(bundles) -> list:

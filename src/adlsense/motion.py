@@ -17,6 +17,7 @@ import numpy as np
 
 from .signals import (
     DEFAULT_LOW_PASS_ALPHA,
+    RAW_STAT_NAMES,
     SampleSeries,
     TriaxialSeries,
     low_pass,
@@ -26,10 +27,20 @@ from .signals import (
 )
 
 MOTION_SENSOR_ORDER = ("ACC", "MAG", "GYRO")
-MOTION_VARIANTS = ("F1", "F2", "F3", "F4", "F5")
 NUM_PEAK_DISTANCES = 5
 
-_VARIANT_BLOCK_LENGTHS = {"F1": 15, "F2": 10, "F3": 6, "F4": 4, "F5": 2}
+_GAP_NAMES = tuple(f"gap_{i}" for i in range(1, NUM_PEAK_DISTANCES + 1))
+_PEAK_NAMES = ("peak_avg", "peak_std", "peak_variance", "peak_median")
+
+# Recipe -> the column suffixes of each sensor's block, in order.
+MOTION_RECIPES = {
+    "F1": _GAP_NAMES + _PEAK_NAMES + RAW_STAT_NAMES,
+    "F2": _PEAK_NAMES + RAW_STAT_NAMES,
+    "F3": RAW_STAT_NAMES,
+    "F4": ("std", "mean", "variance", "median"),
+    "F5": ("std", "mean"),
+}
+MOTION_VARIANTS = tuple(MOTION_RECIPES)
 
 
 @dataclass(frozen=True)
@@ -85,31 +96,19 @@ def sensor_feature_vector(tri: TriaxialSeries, variant: str = "F1",
                           alpha: float = DEFAULT_LOW_PASS_ALPHA) -> np.ndarray:
     """One sensor's feature block for one window.
 
-    The axes are low-pass filtered, collapsed to the per-sample Euclidean
-    magnitude, and summarised as:
-
-    F1: 5 peak gap distances + peak avg/std/variance/median + signal
-        std/mean/max/min/variance/median (15 values).
-    F2: F1 without the gap distances (10 values).
-    F3: the six signal statistics (6 values).
-    F4: signal std, mean, variance, median (4 values).
-    F5: signal std, mean (2 values).
+    The axes are low-pass filtered and collapsed to the per-sample Euclidean
+    magnitude. The block holds the columns ``MOTION_RECIPES`` names: the
+    largest gaps between peaks (``gap_*``), peak-amplitude statistics
+    (``peak_*``) and statistics of the magnitude signal itself.
     """
-    if variant not in _VARIANT_BLOCK_LENGTHS:
-        raise ValueError(f"unknown motion variant {variant!r}, expected one of {MOTION_VARIANTS}")
+    suffixes = _recipe(variant)
     mag = magnitude(smooth_triaxial(tri, alpha))
-    stats = raw_stats(mag)
-    if variant == "F3":
-        return np.asarray(stats_values(stats))
-    if variant == "F4":
-        return np.asarray([stats.std_dev, stats.mean, stats.variance, stats.median])
-    if variant == "F5":
-        return np.asarray([stats.std_dev, stats.mean])
-    peaks = detect_peaks(mag)
-    pstats = peak_stats(peaks)
-    if variant == "F2":
-        return np.concatenate([pstats, stats_values(stats)])
-    return np.concatenate([top_peak_distances(peaks), pstats, stats_values(stats)])
+    values = dict(zip(RAW_STAT_NAMES, stats_values(raw_stats(mag))))
+    if _PEAK_NAMES[0] in suffixes:  # F1 and F2 only
+        peaks = detect_peaks(mag)
+        values.update(zip(_GAP_NAMES, top_peak_distances(peaks)))
+        values.update(zip(_PEAK_NAMES, peak_stats(peaks)))
+    return np.asarray([values[name] for name in suffixes])
 
 
 def motion_feature_vector(sensors: Mapping[str, TriaxialSeries], variant: str = "F1",
@@ -133,36 +132,26 @@ def motion_feature_vector(sensors: Mapping[str, TriaxialSeries], variant: str = 
 
 def sensor_block_length(variant: str) -> int:
     """Number of features contributed by each sensor under a recipe."""
-    try:
-        return _VARIANT_BLOCK_LENGTHS[variant]
-    except KeyError:
-        raise ValueError(
-            f"unknown motion variant {variant!r}, expected one of {MOTION_VARIANTS}"
-        ) from None
+    return len(_recipe(variant))
 
 
 def motion_feature_names(sensor_names, variant: str = "F1", env_labels=None) -> list[str]:
     """Column names matching ``motion_feature_vector`` element for element."""
     _check_sensor_names(sensor_names)
-    block_names = {
-        "F1": [f"gap_{i}" for i in range(1, 6)]
-        + ["peak_avg", "peak_std", "peak_variance", "peak_median"]
-        + ["std", "mean", "max", "min", "variance", "median"],
-        "F2": ["peak_avg", "peak_std", "peak_variance", "peak_median"]
-        + ["std", "mean", "max", "min", "variance", "median"],
-        "F3": ["std", "mean", "max", "min", "variance", "median"],
-        "F4": ["std", "mean", "variance", "median"],
-        "F5": ["std", "mean"],
-    }
-    if variant not in block_names:
-        raise ValueError(f"unknown motion variant {variant!r}, expected one of {MOTION_VARIANTS}")
+    suffixes = _recipe(variant)
     names = []
     for sensor in MOTION_SENSOR_ORDER:
         if sensor in sensor_names:
-            names.extend(f"{sensor.lower()}_{suffix}" for suffix in block_names[variant])
+            names.extend(f"{sensor.lower()}_{suffix}" for suffix in suffixes)
     if env_labels is not None:
         names.extend(f"env_{_slug(label)}" for label in env_labels)
     return names
+
+
+def _recipe(variant):
+    if variant not in MOTION_RECIPES:
+        raise ValueError(f"unknown motion variant {variant!r}, expected one of {MOTION_VARIANTS}")
+    return MOTION_RECIPES[variant]
 
 
 def _slug(label: str) -> str:

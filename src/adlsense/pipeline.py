@@ -14,14 +14,14 @@ to disambiguate where the user is standing still.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .audio import AUDIO_VARIANTS, audio_feature_vector
 from .datasets import DatasetConfig, WindowBundle, build_dataset
 from .errors import FormatError, TrainingFailureError, UnsupportedSensorsError
-from .motion import MOTION_VARIANTS, motion_feature_vector
+from .motion import MOTION_VARIANTS, motion_feature_names, motion_feature_vector
 from .network import (
     NetworkConfig,
     NetworkModel,
@@ -196,18 +196,25 @@ def train_pipeline(env_bundles, adl_bundles, standing_bundles,
     )
     adl_model = _fit_stage("adl", "DEEP", adl_dataset, config, config.adl_iterations)
 
-    standing_bundles = list(standing_bundles)
+    # Each window's features are computed once, for the widest sensor set; the
+    # narrower sets' datasets are column selections of it.
+    standing = build_dataset(
+        standing_bundles, config.motion_variant, env_source=env_model,
+        cfg=DatasetConfig(
+            env_mode="predicted", sensors=STANDING_SENSOR_SETS[-1],
+            low_pass_alpha=config.low_pass_alpha,
+            env_audio_variant=config.env_variant,
+        ),
+    )
     standing_models = {}
     for sensors in STANDING_SENSOR_SETS:
         key = "+".join(sensors)
-        dataset = build_dataset(
-            standing_bundles, config.motion_variant, env_source=env_model,
-            cfg=DatasetConfig(
-                env_mode="predicted", sensors=sensors,
-                low_pass_alpha=config.low_pass_alpha,
-                env_audio_variant=config.env_variant,
-            ),
-        )
+        wanted = set(motion_feature_names(sensors, config.motion_variant, env_model.labels))
+        cols = [i for i, name in enumerate(standing.feature_names) if name in wanted]
+        # A C-ordered copy keeps the normalizer's column sums bit-equal to a
+        # dataset built for this sensor set alone.
+        dataset = replace(standing, feature_names=[standing.feature_names[i] for i in cols],
+                          rows=np.ascontiguousarray(standing.rows[:, cols]))
         standing_models[key] = _fit_stage(f"standing[{key}]", "DEEP", dataset,
                                           config, config.standing_iterations)
     return PipelineModel(config=config, env_model=env_model, adl_model=adl_model,
@@ -228,11 +235,11 @@ def classify_window(pipeline: PipelineModel, bundle: WindowBundle) -> Recognitio
 
     adl = None
     if method.motion_sensors:
-        features = motion_feature_vector(
+        acc_features = motion_feature_vector(
             {"ACC": bundle.motion["ACC"]}, config.motion_variant,
             alpha=config.low_pass_alpha,
         )
-        adl, adl_scores = classify(pipeline.adl_model, features)
+        adl, adl_scores = classify(pipeline.adl_model, acc_features)
         scores["adl"] = _score_map(pipeline.adl_model.labels, adl_scores)
 
         if adl == config.refine_label and method.uses_audio:
@@ -241,10 +248,13 @@ def classify_window(pipeline: PipelineModel, bundle: WindowBundle) -> Recognitio
             env_labels = pipeline.env_model.labels
             one_hot = np.zeros(len(env_labels))
             one_hot[env_labels.index(environment)] = 1.0
-            features = motion_feature_vector(
-                {s: bundle.motion[s] for s in method.motion_sensors},
-                config.motion_variant, one_hot, config.low_pass_alpha,
-            )
+            # ACC leads every route, so only the other sensors' blocks are new.
+            blocks = [acc_features]
+            others = {s: bundle.motion[s] for s in method.motion_sensors[1:]}
+            if others:
+                blocks.append(motion_feature_vector(others, config.motion_variant,
+                                                    alpha=config.low_pass_alpha))
+            features = np.concatenate(blocks + [one_hot])
             adl, standing_scores = classify(refiner, features)
             scores["standing"] = _score_map(refiner.labels, standing_scores)
 

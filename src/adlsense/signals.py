@@ -215,15 +215,17 @@ def magnitude(tri: TriaxialSeries) -> SampleSeries:
 def raw_stats(series: SampleSeries) -> RawStats:
     """Mean, population std/variance, median, max and min of one window."""
     x = series.values
-    mean = float(np.mean(x))
+    minimum, maximum = float(np.min(x)), float(np.max(x))
+    # Rounding can carry the mean of equal samples just past them.
+    mean = min(max(float(np.mean(x)), minimum), maximum)
     variance = float(np.var(x))
     return RawStats(
         mean=mean,
         std_dev=float(np.sqrt(variance)),
         variance=variance,
         median=float(np.median(x)),
-        maximum=float(np.max(x)),
-        minimum=float(np.min(x)),
+        maximum=maximum,
+        minimum=minimum,
     )
 
 

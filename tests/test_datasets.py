@@ -275,6 +275,18 @@ class TestDatasetCsv:
         back = load_dataset(path, variant="F3")
         np.testing.assert_array_equal(back.rows, ds.rows)
 
+    def test_labels_with_commas_and_quotes_round_trip(self, tmp_path):
+        labels = ["a,b", 'say "hi"', "watching TV"]
+        ds = LabeledDataset("A4", audio_feature_names("A4"), np.arange(6.0).reshape(3, 2),
+                            labels, sorted(labels))
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        assert path.read_text().splitlines()[1:] == [
+            '0.0,1.0,"a,b"', '2.0,3.0,"say ""hi"""', "4.0,5.0,watching TV"]
+        back = load_dataset(path)
+        assert back.labels == labels
+        np.testing.assert_array_equal(back.rows, ds.rows)
+
     def test_variant_mismatch_rejected(self, tmp_path):
         ds = build_dataset([audio_bundle("bar", i) for i in range(2)], "A2")
         path = tmp_path / "d.csv"
@@ -308,9 +320,15 @@ class TestDatasetCsv:
             load_dataset(path)
 
     def test_infer_variant(self):
-        assert infer_variant(audio_feature_names("A3")) == "A3"
-        names = motion_feature_names(("ACC", "GYRO"), "F2", ["street", "gym"])
-        assert infer_variant(names) == "F2"
+        for variant in ("A1", "A2", "A3", "A4"):
+            assert infer_variant(audio_feature_names(variant)) == variant
+        subsets = [("ACC",), ("MAG",), ("GYRO",), ("ACC", "MAG"), ("ACC", "GYRO"),
+                   ("MAG", "GYRO"), ("ACC", "MAG", "GYRO")]
+        for variant in ("F1", "F2", "F3", "F4", "F5"):
+            for sensors in subsets:
+                for env_labels in (None, ["street", "gym"]):
+                    names = motion_feature_names(sensors, variant, env_labels)
+                    assert infer_variant(names) == variant, (variant, sensors, env_labels)
         assert infer_variant(["bogus", "label"]) is None
 
 

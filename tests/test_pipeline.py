@@ -1,11 +1,15 @@
 """Routing, staged training, window classification, pipeline serialization."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from adlsense.datasets import WindowBundle
+import adlsense.datasets
+import adlsense.motion
+import adlsense.pipeline
+from adlsense.datasets import DatasetConfig, WindowBundle, build_dataset
 from adlsense.errors import FormatError, TrainingFailureError, UnsupportedSensorsError
 from adlsense.pipeline import (
     STANDING_SENSOR_SETS,
@@ -27,6 +31,7 @@ from adlsense.synth import (
     synth_corpus,
     synth_windows,
 )
+from adlsense.network import fit_normalizer
 
 ALL_SENSORS = ("ACC", "MAG", "GYRO", "MIC")
 
@@ -101,6 +106,30 @@ def trained():
     )
 
 
+# Budgets small enough to train in about a second; no accuracy floor.
+QUICK = PipelineConfig(seed=7, env_iterations=3_000, adl_iterations=0, standing_iterations=0,
+                       min_train_accuracy=0.0)
+
+
+def quick_corpora():
+    # Ten standing rows, so a column sum takes numpy's pairwise path.
+    return (synth_corpus(default_environment_spec(2, seed=41)),
+            synth_corpus(default_adl_spec(2, seed=42)),
+            synth_corpus(default_standing_spec(5, seed=43)))
+
+
+def count_calls(monkeypatch, name, *modules):
+    """A list that gains one entry per call of ``name`` through any of ``modules``."""
+    calls = []
+    for module in modules:
+        def spy(*args, real=getattr(module, name), **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def fresh_env_windows(n=1, seed=201):
     return synth_corpus(default_environment_spec(n, seed=seed))
 
@@ -146,6 +175,34 @@ class TestTrainPipeline:
             classify_window(trained, b).environment == b.label for b in windows
         )
         assert correct / len(windows) >= 0.8
+
+    def test_audio_features_computed_once_per_window(self, monkeypatch):
+        calls = count_calls(monkeypatch, "audio_feature_vector",
+                            adlsense.pipeline, adlsense.datasets)
+        env, adl, standing = quick_corpora()
+        train_pipeline(env, adl, standing, QUICK)
+        assert len(calls) == len(env) + len(standing)
+
+    def test_standing_datasets_match_per_set_builds(self, monkeypatch):
+        fitted = []
+        real_fit = adlsense.pipeline.fit_model
+
+        def spy(config, rows, labels, **kwargs):
+            fitted.append(rows)
+            return real_fit(config, rows, labels, **kwargs)
+
+        monkeypatch.setattr(adlsense.pipeline, "fit_model", spy)
+        env, adl, standing = quick_corpora()
+        pipeline = train_pipeline(env, adl, standing, QUICK)
+        assert len(fitted) == 2 + len(STANDING_SENSOR_SETS)
+        for sensors, rows in zip(STANDING_SENSOR_SETS, fitted[2:]):
+            alone = build_dataset(standing, QUICK.motion_variant, env_source=pipeline.env_model,
+                                  cfg=DatasetConfig(env_mode="predicted", sensors=sensors))
+            assert rows.shape == alone.rows.shape
+            assert rows.tobytes() == alone.rows.tobytes()
+            ours, theirs = fit_normalizer("ZSCORE", rows), fit_normalizer("ZSCORE", alone.rows)
+            for key in ("mean", "std"):
+                assert ours.params[key].tobytes() == theirs.params[key].tobytes(), (sensors, key)
 
     def test_low_budget_environment_stage_fails_loudly(self):
         config = PipelineConfig(seed=7, env_iterations=0)
@@ -200,6 +257,18 @@ class TestClassifyWindow:
         hits = sum(r.adl == b.label for r, b in zip(refined, windows))
         assert hits / len(windows) >= 0.8
         assert any("standing" in r.scores for r in refined)
+
+    def test_refined_window_computes_each_sensor_block_once(self, trained, monkeypatch):
+        bundle = fresh_standing_windows(1)[0]
+        adl_scores = classify_window(trained, bundle).scores["adl"]
+        # Refine whatever the activity stage says, so this window is refined.
+        pipeline = replace(trained, config=replace(
+            trained.config, refine_label=max(adl_scores, key=adl_scores.get)))
+        calls = count_calls(monkeypatch, "low_pass", adlsense.motion)
+        result = classify_window(pipeline, bundle)
+        assert result.method == "fusion_acc_mag_gyro"
+        assert "standing" in result.scores
+        assert len(calls) == 9  # three axes of ACC, MAG and GYRO
 
     def test_refinement_uses_the_matching_sensor_set(self, trained):
         bundle = fresh_standing_windows(1)[0]

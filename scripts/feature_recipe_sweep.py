@@ -12,7 +12,7 @@ import argparse
 from adlsense.audio import AUDIO_VARIANTS
 from adlsense.datasets import build_dataset, stratified_split
 from adlsense.motion import MOTION_VARIANTS
-from adlsense.network import NetworkConfig, apply_normalizer, evaluate, fit_model
+from adlsense.network import NetworkConfig, evaluate, fit_model
 from adlsense.synth import default_adl_spec, default_environment_spec, synth_windows
 
 PRESETS = ("MLP", "FEEDFORWARD", "DEEP")
@@ -30,8 +30,7 @@ def sweep(title, corpus, variants, seed, iterations):
                                                iteration_budget=iterations)
             model, _ = fit_model(config, train_set.rows, train_set.labels,
                                  label_names=dataset.label_names)
-            normalized = apply_normalizer(model.normalizer, test_set.rows)
-            accuracy = evaluate(model, normalized, test_set.labels).accuracy
+            accuracy = evaluate(model, test_set.rows, test_set.labels).accuracy
             cells.append(f"{accuracy * 100:12.2f}")
         print(f"  {variant:<8} {len(dataset.feature_names):>5} " + " ".join(cells))
 

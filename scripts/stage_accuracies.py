@@ -13,7 +13,7 @@ import argparse
 import time
 
 from adlsense.datasets import DatasetConfig, build_dataset, stratified_split
-from adlsense.network import NetworkConfig, apply_normalizer, evaluate, fit_model
+from adlsense.network import NetworkConfig, evaluate, fit_model
 from adlsense.synth import (
     DEFAULT_ENVIRONMENTS,
     DEFAULT_STANDING,
@@ -32,8 +32,7 @@ def run_stage(name, dataset, preset, seed, iterations, **overrides):
     started = time.perf_counter()
     model, _ = fit_model(config, train_set.rows, train_set.labels,
                          label_names=dataset.label_names)
-    normalized = apply_normalizer(model.normalizer, test_set.rows)
-    accuracy = evaluate(model, normalized, test_set.labels).accuracy
+    accuracy = evaluate(model, test_set.rows, test_set.labels).accuracy
     print(f"  {name:<28} {preset:<12} acc {accuracy * 100:6.2f}   "
           f"({len(train_set)} train / {len(test_set)} test, "
           f"{time.perf_counter() - started:.1f}s)")

@@ -174,23 +174,22 @@ def mfcc(series: SampleSeries, config: MfccConfig | None = None) -> np.ndarray:
     return mfcc_frames(series, config).mean(axis=0)
 
 
-def audio_feature_vector(series: SampleSeries, variant: str = "A1",
-                         config: MfccConfig | None = None) -> np.ndarray:
+def audio_feature_vector(series: SampleSeries, variant: str = "A1") -> np.ndarray:
     """Feature vector for one microphone window under one recipe: the
     raw-sample statistics ``AUDIO_RECIPES`` names, after the window-mean
-    cepstral coefficients for A1 (26 + 6 = 32 values by default)."""
+    cepstral coefficients for A1 (26 + 6 = 32 values)."""
     stats = dict(zip(RAW_STAT_NAMES, stats_values(raw_stats(series))))
     values = [stats[name] for name in _recipe(variant)]
     if variant == "A1":
-        return np.concatenate([mfcc(series, config), values])
+        return np.concatenate([mfcc(series), values])
     return np.asarray(values)
 
 
-def audio_feature_names(variant: str = "A1", config: MfccConfig | None = None) -> list[str]:
+def audio_feature_names(variant: str = "A1") -> list[str]:
     """Column names matching ``audio_feature_vector`` element for element."""
     names = list(_recipe(variant))
     if variant == "A1":
-        count = (config or MfccConfig()).coefficient_count
+        count = MfccConfig().coefficient_count
         names = [f"mfcc_{i:02d}" for i in range(count)] + names
     return names
 

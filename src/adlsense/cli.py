@@ -42,7 +42,6 @@ from .errors import (
 from .motion import MOTION_SENSOR_ORDER, MOTION_VARIANTS
 from .network import (
     NetworkConfig,
-    apply_normalizer,
     evaluate,
     fit_model,
     load_model,
@@ -470,8 +469,7 @@ def cmd_train(args) -> int:
         train_set = test_set = dataset
     model, _ = fit_model(config, train_set.rows, train_set.labels,
                          label_names=dataset.label_names)
-    normalized = apply_normalizer(model.normalizer, test_set.rows)
-    report = evaluate(model, normalized, test_set.labels)
+    report = evaluate(model, test_set.rows, test_set.labels)
     save_model(model, args.out)
 
     run_config = {
@@ -499,8 +497,7 @@ def cmd_eval(args) -> int:
             f"dataset has {len(dataset.feature_names)} features but the model "
             f"expects {model.layer_sizes[0]}"
         )
-    normalized = apply_normalizer(model.normalizer, dataset.rows)
-    report = evaluate(model, normalized, dataset.labels)
+    report = evaluate(model, dataset.rows, dataset.labels)
 
     if args.report == "json":
         print(json.dumps(report.to_dict(), sort_keys=True))
@@ -588,8 +585,7 @@ def cmd_sweep(args) -> int:
                     )
                     model, _ = fit_model(config, train_set.rows, train_set.labels,
                                          label_names=dataset.label_names)
-                    normalized = apply_normalizer(model.normalizer, test_set.rows)
-                    report = evaluate(model, normalized, test_set.labels)
+                    report = evaluate(model, test_set.rows, test_set.labels)
                     results.append((preset, variant, normalization, budget,
                                     report.accuracy))
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import shlex
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio import AUDIO_VARIANTS, MfccConfig, audio_feature_names, audio_feature_vector
+from .audio import AUDIO_VARIANTS, audio_feature_names, audio_feature_vector
 from .errors import FormatError, ParseError
 from .motion import (
     MOTION_SENSOR_ORDER,
@@ -113,7 +114,6 @@ class LabeledDataset:
     rows: np.ndarray
     labels: list
     label_names: list
-    provenance: str = ""
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
@@ -151,7 +151,6 @@ class DatasetConfig:
     sensors: tuple | None = None
     low_pass_alpha: float = DEFAULT_LOW_PASS_ALPHA
     env_audio_variant: str = "A1"
-    mfcc: MfccConfig | None = None
 
     def __post_init__(self):
         if self.env_mode not in ENV_MODES:
@@ -185,14 +184,14 @@ def build_dataset(bundles, variant: str, env_source: NetworkModel | None = None,
 def _build_audio_dataset(bundles, variant, cfg):
     if cfg.env_mode != "none":
         raise ValueError(f"audio variant {variant} does not take an environment block")
-    names = audio_feature_names(variant, cfg.mfcc)
+    names = audio_feature_names(variant)
     rows, labels = [], []
     for bundle in bundles:
         if bundle.audio is None:
             raise ValueError(f"window {bundle.id!r} has no audio channel")
-        rows.append(audio_feature_vector(bundle.audio, variant, cfg.mfcc))
+        rows.append(audio_feature_vector(bundle.audio, variant))
         labels.append(bundle.label)
-    return _finish_dataset(variant, names, rows, labels, f"audio variant {variant}")
+    return _finish_dataset(variant, names, rows, labels)
 
 
 def _build_motion_dataset(bundles, variant, env_source, cfg):
@@ -233,17 +232,16 @@ def _build_motion_dataset(bundles, variant, env_source, cfg):
         elif cfg.env_mode == "predicted":
             if bundle.audio is None:
                 raise ValueError(f"window {bundle.id!r} has no audio to predict environment from")
-            features = audio_feature_vector(bundle.audio, cfg.env_audio_variant, cfg.mfcc)
+            features = audio_feature_vector(bundle.audio, cfg.env_audio_variant)
             predicted, _ = classify(env_source, features)
             one_hot = np.zeros(len(env_labels))
             one_hot[env_index[predicted]] = 1.0
         rows.append(motion_feature_vector(channels, variant, one_hot, cfg.low_pass_alpha))
         labels.append(bundle.label)
-    note = f"motion variant {variant} sensors {'+'.join(sensors or ())} env {cfg.env_mode}"
-    return _finish_dataset(variant, names, rows, labels, note)
+    return _finish_dataset(variant, names, rows, labels)
 
 
-def _finish_dataset(variant, names, rows, labels, note):
+def _finish_dataset(variant, names, rows, labels):
     if not rows:
         raise ValueError("no bundles supplied")
     return LabeledDataset(
@@ -252,7 +250,6 @@ def _finish_dataset(variant, names, rows, labels, note):
         rows=np.vstack(rows),
         labels=labels,
         label_names=sorted(set(labels)),
-        provenance=note,
     )
 
 
@@ -327,9 +324,12 @@ def load_dataset(path, variant: str | None = None) -> LabeledDataset:
         if len(parts) != len(header):
             raise FormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
         try:
-            rows.append([float(v) for v in parts[:-1]])
+            row = [float(v) for v in parts[:-1]]
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise FormatError(f"{path}:{lineno}: non-finite feature value")
+        rows.append(row)
         labels.append(parts[-1])
     if not rows:
         raise FormatError(f"{path}: dataset has a header but no rows")
@@ -339,7 +339,6 @@ def load_dataset(path, variant: str | None = None) -> LabeledDataset:
         rows=np.asarray(rows),
         labels=labels,
         label_names=sorted(set(labels)),
-        provenance=f"loaded from {path}",
     )
 
 
@@ -402,14 +401,10 @@ def parse_sensor_log(path) -> list:
     """All window bundles in one raw log file.
 
     Malformed content raises :class:`ParseError` naming the offending line.
-    An empty file parses to an empty list.
+    An empty or all-blank file parses to an empty list. The file is read a
+    line at a time, so only the current window's samples are held as Python
+    values.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or all(not line.strip() for line in lines):
-        return []
-
-    header = _parse_header(path, lines[0])
     bundles = []
     window_id = None
     window_line = 0
@@ -423,23 +418,28 @@ def parse_sensor_log(path) -> list:
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=window_line) from exc
 
-    for lineno, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#window"):
-            finish_window()
-            window_id = text[len("#window"):].strip()
-            window_line = lineno
-            samples = []
-            if not window_id:
-                raise ParseError("missing window id", path=path, line=lineno)
-            continue
-        if text.startswith("#"):
-            raise ParseError(f"unknown directive {text.split()[0]!r}", path=path, line=lineno)
-        if window_id is None:
-            raise ParseError("sample line before any #window", path=path, line=lineno)
-        samples.append(_parse_sample(path, lineno, text, header, samples))
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.strip() and not any(line.strip() for line in fh):
+            return []
+        header = _parse_header(path, first.rstrip("\n"))
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text:
+                continue
+            if text.startswith("#window"):
+                finish_window()
+                window_id = text[len("#window"):].strip()
+                window_line = lineno
+                samples = []
+                if not window_id:
+                    raise ParseError("missing window id", path=path, line=lineno)
+                continue
+            if text.startswith("#"):
+                raise ParseError(f"unknown directive {text.split()[0]!r}", path=path, line=lineno)
+            if window_id is None:
+                raise ParseError("sample line before any #window", path=path, line=lineno)
+            samples.append(_parse_sample(path, lineno, text, header, samples))
     finish_window()
     return bundles
 

@@ -7,8 +7,7 @@ One engine serves three presets that differ in depth and training protocol:
 * ``DEEP`` — 64/32/16 hidden layers, z-score scaling and L2 weight decay.
 
 Hidden units are sigmoids; the output layer is a softmax trained with
-cross-entropy (a sigmoid output with squared error is available as an
-alternative). Training is plain online stochastic gradient descent: one
+cross-entropy. Training is plain online stochastic gradient descent: one
 iteration presents one sample, samples are drawn in seeded shuffled passes,
 and everything is deterministic given the seed.
 """
@@ -23,7 +22,9 @@ import numpy as np
 
 from .errors import FormatError, TrainingDivergenceError
 
-NORMALIZATIONS = ("NONE", "MINMAX", "ZSCORE")
+# Normalizer kind -> the per-feature parameters it stores.
+NORMALIZER_PARAMS = {"NONE": (), "MINMAX": ("min", "max"), "ZSCORE": ("mean", "std")}
+NORMALIZATIONS = tuple(NORMALIZER_PARAMS)
 PRESETS = {
     "MLP": dict(hidden_layers=(16,), normalization="MINMAX", l2_lambda=0.0),
     "FEEDFORWARD": dict(hidden_layers=(32,), normalization="MINMAX", l2_lambda=0.0),
@@ -36,8 +37,6 @@ MODEL_FORMAT_VERSION = 1
 class NetworkConfig:
     preset: str = "MLP"
     hidden_layers: tuple = (16,)
-    activation: str = "sigmoid"
-    output_activation: str = "softmax"
     learning_rate: float = 0.01
     l2_lambda: float = 0.0
     iteration_budget: int = 1_000_000
@@ -50,10 +49,6 @@ class NetworkConfig:
             raise ValueError(f"unknown preset {self.preset!r}, expected one of {sorted(PRESETS)}")
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ValueError(f"hidden_layers must be positive counts, got {self.hidden_layers}")
-        if self.activation != "sigmoid":
-            raise ValueError(f"unsupported hidden activation {self.activation!r}")
-        if self.output_activation not in ("softmax", "sigmoid"):
-            raise ValueError(f"unsupported output activation {self.output_activation!r}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.l2_lambda < 0:
@@ -209,11 +204,7 @@ def forward(model: NetworkModel, features) -> tuple:
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         a = _sigmoid(a @ w + b)
         activations.append(a)
-    z = a @ model.weights[-1] + model.biases[-1]
-    if model.config.output_activation == "softmax":
-        scores = np.exp(_log_softmax(z))
-    else:
-        scores = _sigmoid(z)
+    scores = np.exp(_log_softmax(a @ model.weights[-1] + model.biases[-1]))
     activations.append(scores)
     return activations, scores
 
@@ -221,9 +212,8 @@ def forward(model: NetworkModel, features) -> tuple:
 def sample_loss(model: NetworkModel, features, label_index: int, l2_lambda=None) -> float:
     """Training loss on one sample under current parameters (no update).
 
-    Softmax output: cross-entropy; sigmoid output: half squared error against
-    the one-hot target. Plus (l2_lambda/2) * sum of squared weights (biases
-    excluded).
+    Cross-entropy of the softmax output, plus (l2_lambda/2) * sum of squared
+    weights (biases excluded).
     """
     if l2_lambda is None:
         l2_lambda = model.config.l2_lambda
@@ -231,15 +221,10 @@ def sample_loss(model: NetworkModel, features, label_index: int, l2_lambda=None)
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         a = _sigmoid(a @ w + b)
     z = a @ model.weights[-1] + model.biases[-1]
-    if model.config.output_activation == "softmax":
-        data_loss = -float(_log_softmax(z)[label_index])
-    else:
-        target = np.zeros(z.size)
-        target[label_index] = 1.0
-        data_loss = 0.5 * float(np.sum((_sigmoid(z) - target) ** 2))
+    loss = -float(_log_softmax(z)[label_index])
     if l2_lambda:
-        data_loss += 0.5 * l2_lambda * sum(float(np.sum(w * w)) for w in model.weights)
-    return data_loss
+        loss += 0.5 * l2_lambda * sum(float(np.sum(w * w)) for w in model.weights)
+    return loss
 
 
 def loss_and_gradients(model: NetworkModel, features, label_index: int,
@@ -254,18 +239,9 @@ def loss_and_gradients(model: NetworkModel, features, label_index: int,
     activations, scores = forward(model, features)
     label_index = int(label_index)
 
-    if model.config.output_activation == "softmax":
-        data_loss = -math.log(max(float(scores[label_index]), 5e-324))
-        delta = scores.copy()
-        delta[label_index] -= 1.0
-    else:
-        target = np.zeros(scores.size)
-        target[label_index] = 1.0
-        diff = scores - target
-        data_loss = 0.5 * float(diff @ diff)
-        delta = diff * scores * (1.0 - scores)
-
-    loss = data_loss
+    loss = -math.log(max(float(scores[label_index]), 5e-324))
+    delta = scores.copy()
+    delta[label_index] -= 1.0
     if l2_lambda:
         loss += 0.5 * l2_lambda * sum(float(np.sum(w * w)) for w in model.weights)
 
@@ -369,15 +345,16 @@ class EvalReport:
         }
 
 
-def evaluate(model: NetworkModel, features, labels) -> EvalReport:
-    """Score every row (already normalized) and tally argmax predictions."""
-    x = np.asarray(features, dtype=np.float64)
+def evaluate(model: NetworkModel, raw_features, labels) -> EvalReport:
+    """Score every raw row and tally argmax predictions; like :func:`classify`,
+    this applies the model's normalizer itself."""
+    x = np.asarray(raw_features, dtype=np.float64)
     y = _label_indices(model, labels)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"need a non-empty (rows, features) matrix, got shape {x.shape}")
     if x.shape[0] != y.size:
         raise ValueError(f"{x.shape[0]} rows but {y.size} labels")
-    _, scores = forward(model, x)
+    _, scores = forward(model, apply_normalizer(model.normalizer, x))
     predicted = scores.argmax(axis=1)
     count = len(model.labels)
     confusion = np.zeros((count, count), dtype=np.int64)
@@ -443,8 +420,8 @@ def model_to_dict(model: NetworkModel) -> dict:
         "format_version": MODEL_FORMAT_VERSION,
         "preset": cfg.preset,
         "layer_sizes": model.layer_sizes,
-        "activation": cfg.activation,
-        "output_activation": cfg.output_activation,
+        "activation": "sigmoid",
+        "output_activation": "softmax",
         "learning_rate": cfg.learning_rate,
         "l2_lambda": cfg.l2_lambda,
         "iteration_budget": cfg.iteration_budget,
@@ -466,12 +443,16 @@ def model_from_dict(doc: dict) -> NetworkModel:
         version = doc["format_version"]
         if version != MODEL_FORMAT_VERSION:
             raise FormatError(f"unsupported model format_version {version!r}")
+        activations = (doc["activation"], doc["output_activation"])
+        if activations != ("sigmoid", "softmax"):
+            raise FormatError(
+                f"unsupported hidden/output activations {activations}; "
+                "expected sigmoid hidden units and a softmax output"
+            )
         sizes = [int(s) for s in doc["layer_sizes"]]
         config = NetworkConfig(
             preset=doc["preset"],
             hidden_layers=tuple(sizes[1:-1]),
-            activation=doc["activation"],
-            output_activation=doc["output_activation"],
             learning_rate=doc["learning_rate"],
             l2_lambda=doc["l2_lambda"],
             iteration_budget=doc["iteration_budget"],
@@ -487,7 +468,7 @@ def model_from_dict(doc: dict) -> NetworkModel:
         )
         labels = [str(s) for s in doc["labels"]]
         iterations = int(doc["iterations_trained"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"malformed model document: {exc}") from exc
@@ -500,6 +481,7 @@ def model_from_dict(doc: dict) -> NetworkModel:
     for arr in (*weights, *biases):
         if not np.all(np.isfinite(arr)):
             raise FormatError("model parameters contain non-finite values")
+    _check_normalizer(normalizer, sizes[0])
     return NetworkModel(
         config=config,
         weights=weights,
@@ -508,6 +490,23 @@ def model_from_dict(doc: dict) -> NetworkModel:
         normalizer=normalizer,
         iterations_trained=iterations,
     )
+
+
+def _check_normalizer(norm: Normalizer, width: int) -> None:
+    """A loaded normalizer must hold its kind's parameters, one finite value
+    per network input."""
+    expected = NORMALIZER_PARAMS[norm.kind]
+    if sorted(norm.params) != sorted(expected):
+        raise FormatError(
+            f"{norm.kind} normalizer needs parameters {list(expected)}, got {sorted(norm.params)}"
+        )
+    for name, values in norm.params.items():
+        if values.shape != (width,):
+            raise FormatError(
+                f"normalizer parameter {name!r} has shape {values.shape}, expected ({width},)"
+            )
+        if not np.all(np.isfinite(values)):
+            raise FormatError(f"normalizer parameter {name!r} contains non-finite values")
 
 
 def model_to_json(model: NetworkModel) -> str:

@@ -25,7 +25,6 @@ from .motion import MOTION_VARIANTS, motion_feature_names, motion_feature_vector
 from .network import (
     NetworkConfig,
     NetworkModel,
-    apply_normalizer,
     classify,
     evaluate,
     fit_model,
@@ -161,8 +160,7 @@ def _fit_stage(stage, preset, dataset, config, iterations, **overrides):
     )
     model, _ = fit_model(net_config, dataset.rows, dataset.labels,
                          label_names=dataset.label_names)
-    normalized = apply_normalizer(model.normalizer, dataset.rows)
-    report = evaluate(model, normalized, dataset.labels)
+    report = evaluate(model, dataset.rows, dataset.labels)
     if report.accuracy < config.min_train_accuracy:
         raise TrainingFailureError(
             stage,

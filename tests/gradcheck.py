@@ -38,14 +38,13 @@ def max_relative_gradient_error(model, features, label_index, l2_lambda, h=1e-5,
     return worst
 
 
-def random_net(seed, sizes, l2_lambda=0.0, output_activation="softmax"):
+def random_net(seed, sizes, l2_lambda=0.0):
     """A freshly initialized net with the given [input, *hidden, output] sizes."""
     config = NetworkConfig.from_preset(
         "MLP",
         hidden_layers=tuple(sizes[1:-1]),
         l2_lambda=l2_lambda,
         seed=seed,
-        output_activation=output_activation,
     )
     labels = [f"label_{i}" for i in range(sizes[-1])]
     return init_network(config, sizes[0], labels)

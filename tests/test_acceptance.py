@@ -70,8 +70,7 @@ def run_environment_protocol():
     )
     model, _ = fit_model(config, train_set.rows, train_set.labels,
                          label_names=dataset.label_names)
-    normalized = apply_normalizer(model.normalizer, test_set.rows)
-    accuracy = evaluate(model, normalized, test_set.labels).accuracy
+    accuracy = evaluate(model, test_set.rows, test_set.labels).accuracy
     return {
         "dataset": dataset,
         "model": model,
@@ -106,8 +105,7 @@ def run_standing_protocol():
         config = NetworkConfig.from_preset("DEEP", seed=42, iteration_budget=100_000)
         model, _ = fit_model(config, train_set.rows, train_set.labels,
                              label_names=dataset.label_names)
-        normalized = apply_normalizer(model.normalizer, test_set.rows)
-        accuracy = evaluate(model, normalized, test_set.labels).accuracy
+        accuracy = evaluate(model, test_set.rows, test_set.labels).accuracy
         out["+".join(sensors)] = {
             "dataset": dataset,
             "model": model,
@@ -126,8 +124,7 @@ def run_adl_protocol():
     config = NetworkConfig.from_preset("DEEP", seed=42, iteration_budget=300_000)
     model, _ = fit_model(config, train_set.rows, train_set.labels,
                          label_names=dataset.label_names)
-    normalized = apply_normalizer(model.normalizer, test_set.rows)
-    accuracy = evaluate(model, normalized, test_set.labels).accuracy
+    accuracy = evaluate(model, test_set.rows, test_set.labels).accuracy
     return {
         "dataset": dataset,
         "model": model,

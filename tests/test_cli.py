@@ -273,6 +273,25 @@ class TestTrainEval:
         assert main(["eval", "/does/not/exist.csv", "--model",
                      str(work["env_model"])]) == 3
 
+    def test_mismatched_normalizer_is_a_data_error(self, work, tmp_path, capsys):
+        doc = json.loads(work["env_model"].read_text())
+        params = doc["normalizer"]["params"]
+        doc["normalizer"]["params"] = {"mean": params["min"], "std": params["max"]}
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(work["env_csv"]), "--model", str(bad)]) == 3
+        assert "normalizer" in capsys.readouterr().err
+
+    def test_non_finite_dataset_cell_is_a_data_error(self, work, tmp_path, capsys):
+        lines = work["env_csv"].read_text().splitlines()
+        lines[1] = "nan" + lines[1][lines[1].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(bad), "--model", str(work["env_model"])]) == 3
+        assert main(["train", str(bad), "--preset", "mlp", "--iterations", "100",
+                     "--out", str(tmp_path / "m.json")]) == 3
+        assert ":2: non-finite" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_grid_row_count(self, work):

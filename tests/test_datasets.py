@@ -1,5 +1,7 @@
 """Window bundles, log parsing, dataset assembly, splitting, CSV round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,11 @@ def motion_tri(seed=0, count=500, rate=100.0, offset=0.0):
 
 def motion_channels(seed=0, sensors=("ACC", "MAG", "GYRO")):
     return {s: motion_tri(seed + i) for i, s in enumerate(sensors)}
+
+
+def write_text(path, text, newline="\n"):
+    """Write ``text`` with its line ends replaced by ``newline``."""
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
 
 
 def audio_bundle(label="bar", seed=0, wid=None):
@@ -319,6 +326,19 @@ class TestDatasetCsv:
         with pytest.raises(FormatError, match="empty"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        ds = build_dataset([audio_bundle("bar", i) for i in range(3)], "A4")
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[1] = cell
+        lines[2] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"d\.csv:3: non-finite"):
+            load_dataset(path)
+
     def test_infer_variant(self):
         for variant in ("A1", "A2", "A3", "A4"):
             assert infer_variant(audio_feature_names(variant)) == variant
@@ -332,6 +352,9 @@ class TestDatasetCsv:
         assert infer_variant(["bogus", "label"]) is None
 
 
+NEWLINES = ("\n", "\r\n")
+
+
 class TestSensorLogs:
     def test_audio_round_trip_preserves_samples_and_label(self, tmp_path):
         bundles = [
@@ -341,57 +364,74 @@ class TestSensorLogs:
         ]
         path = tmp_path / "tv.log"
         write_sensor_log(path, bundles)
-        back = parse_sensor_log(path)
-        assert [b.id for b in back] == ["tv-0", "tv-1", "tv-2"]
-        assert back[0].label == "watching TV"
-        assert back[0].label_kind == "ENVIRONMENT"
-        assert back[0].audio.sample_rate_hz == 8000.0
-        for orig, parsed in zip(bundles, back):
-            np.testing.assert_array_equal(parsed.audio.values, orig.audio.values)
+        text = path.read_text()
+        for newline in NEWLINES:
+            write_text(path, text, newline)
+            back = parse_sensor_log(path)
+            assert [b.id for b in back] == ["tv-0", "tv-1", "tv-2"]
+            assert back[0].label == "watching TV"
+            assert back[0].label_kind == "ENVIRONMENT"
+            assert back[0].audio.sample_rate_hz == 8000.0
+            for orig, parsed in zip(bundles, back):
+                np.testing.assert_array_equal(parsed.audio.values, orig.audio.values)
 
     def test_motion_round_trip_with_environment(self, tmp_path):
         bundles = [motion_bundle("going upstairs", i, environment="hall") for i in range(2)]
         path = tmp_path / "up.log"
         write_sensor_log(path, bundles)
-        back = parse_sensor_log(path)
-        assert len(back) == 2
-        assert back[0].environment == "hall"
-        assert back[0].sensors == ("ACC", "MAG", "GYRO")
-        for sensor in ("ACC", "MAG", "GYRO"):
-            orig, parsed = bundles[1].motion[sensor], back[1].motion[sensor]
-            np.testing.assert_array_equal(parsed.x.values, orig.x.values)
-            np.testing.assert_array_equal(parsed.z.values, orig.z.values)
-            assert parsed.sample_rate_hz == 100.0
+        text = path.read_text()
+        for newline in NEWLINES:
+            write_text(path, text, newline)
+            back = parse_sensor_log(path)
+            assert len(back) == 2
+            assert back[0].environment == "hall"
+            assert back[0].sensors == ("ACC", "MAG", "GYRO")
+            for sensor in ("ACC", "MAG", "GYRO"):
+                orig, parsed = bundles[1].motion[sensor], back[1].motion[sensor]
+                np.testing.assert_array_equal(parsed.x.values, orig.x.values)
+                np.testing.assert_array_equal(parsed.z.values, orig.z.values)
+                assert parsed.sample_rate_hz == 100.0
 
     def test_empty_file_parses_to_no_windows(self, tmp_path):
         path = tmp_path / "empty.log"
-        path.write_text("")
-        assert parse_sensor_log(path) == []
+        for text in ("", "\n", "  \n\t\n\n", "\r\n \r\n"):
+            write_text(path, text)
+            assert parse_sensor_log(path) == []
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.log"
-        path.write_text("#window w0\n0.5\n")
-        with pytest.raises(ParseError, match="header"):
-            parse_sensor_log(path)
+        header = "#adl-sense v1 kind=audio label=bar label_kind=ENVIRONMENT rate_hz=8000\n"
+        # A blank first line is a missing header even when one follows.
+        for text in ("#window w0\n0.5\n", f"\n{header}#window w0\n0.5\n",
+                     f"  \n\n{header}#window w0\n0.5\n"):
+            write_text(path, text)
+            with pytest.raises(ParseError, match="header") as err:
+                parse_sensor_log(path)
+            assert err.value.line == 1
 
     def test_sample_before_window(self, tmp_path):
         path = tmp_path / "bad.log"
-        path.write_text("#adl-sense v1 kind=audio label=bar label_kind=ENVIRONMENT rate_hz=8000\n0.5\n")
-        with pytest.raises(ParseError, match="before any #window") as err:
-            parse_sensor_log(path)
-        assert err.value.line == 2
+        for newline in NEWLINES:
+            write_text(path, "#adl-sense v1 kind=audio label=bar label_kind=ENVIRONMENT "
+                             "rate_hz=8000\n0.5\n", newline)
+            with pytest.raises(ParseError, match="before any #window") as err:
+                parse_sensor_log(path)
+            assert err.value.line == 2
 
     def test_non_monotonic_timestamps(self, tmp_path):
         path = tmp_path / "bad.log"
-        path.write_text(
-            "#adl-sense v1 kind=motion label=walking label_kind=ADL rate_hz=100 sensors=ACC\n"
-            "#window w0\n"
-            "0,0.1,0.2,9.7\n"
-            "0,0.1,0.2,9.7\n"
-        )
-        with pytest.raises(ParseError, match="non-monotonic") as err:
-            parse_sensor_log(path)
-        assert err.value.line == 4
+        for newline in NEWLINES:
+            write_text(
+                path,
+                "#adl-sense v1 kind=motion label=walking label_kind=ADL rate_hz=100 sensors=ACC\n"
+                "#window w0\n"
+                "0,0.1,0.2,9.7\n"
+                "0,0.1,0.2,9.7\n",
+                newline,
+            )
+            with pytest.raises(ParseError, match="non-monotonic") as err:
+                parse_sensor_log(path)
+            assert err.value.line == 4
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.log"
@@ -441,6 +481,25 @@ class TestSensorLogs:
         )
         with pytest.raises(ParseError, match="non-finite"):
             parse_sensor_log(path)
+
+    def test_parse_peak_memory_tracks_the_parsed_arrays(self, tmp_path):
+        bundles = [
+            WindowBundle(id=f"w{i}", label="bar", label_kind="ENVIRONMENT",
+                         audio=audio_series(i, count=40_000))
+            for i in range(8)
+        ]
+        path = tmp_path / "long.log"
+        write_sensor_log(path, bundles)
+        tracemalloc.start()
+        try:
+            back = parse_sensor_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for orig, parsed in zip(bundles, back):
+            np.testing.assert_array_equal(parsed.audio.values, orig.audio.values)
+        parsed_bytes = sum(b.audio.values.nbytes for b in back)
+        assert peak < 3 * parsed_bytes, f"peak {peak / parsed_bytes:.1f}x the parsed arrays"
 
     def test_mixed_labels_refused_on_write(self, tmp_path):
         bundles = [audio_bundle("bar", 0), audio_bundle("gym", 1)]

@@ -3,6 +3,7 @@ a finite-difference oracle), training, evaluation, and serialization."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,8 +62,6 @@ class TestConfig:
             NetworkConfig(normalization="UNIT")
         with pytest.raises(ValueError):
             NetworkConfig(seed=-1)
-        with pytest.raises(ValueError):
-            NetworkConfig(output_activation="relu")
 
 
 class TestNormalizer:
@@ -209,11 +208,6 @@ class TestGradients:
                     err = max_relative_gradient_error(model, x, label, l2)
                     assert err < 1e-4, f"seed={seed} sizes={sizes} l2={l2}: {err}"
 
-    def test_sigmoid_output_gradients(self):
-        model = random_net(7, [4, 5, 3], 0.0, output_activation="sigmoid")
-        x = np.random.default_rng(8).normal(size=4)
-        assert max_relative_gradient_error(model, x, 1, 0.0) < 1e-4
-
     def test_l2_loss_dominates_plain_loss(self):
         model = random_net(9, [5, 8, 3], 0.0)
         x = np.random.default_rng(10).normal(size=5)
@@ -256,7 +250,7 @@ class TestTrain:
             iteration_budget=100_000, seed=42,
         )
         model, history = fit_model(config, x, y)
-        report = evaluate(model, apply_normalizer(model.normalizer, x), y)
+        report = evaluate(model, x, y)
         assert report.accuracy == 1.0
         assert history[-1] < history[0]
 
@@ -337,6 +331,36 @@ class TestEvaluate:
         assert label == "a"
         assert scores.shape == (2,)
 
+    def test_raw_rows_are_normalized_exactly_once(self):
+        # Predicts "a" iff the normalized row has x0 > x1. Rows normalized
+        # zero times, once and twice are decided differently.
+        model = init_network(NetworkConfig(hidden_layers=(1,), seed=0), 2, ["a", "b"])
+        model.weights[0][:] = [[50.0], [-50.0]]
+        model.weights[1][:] = [[4.0, -4.0]]
+        model.biases[1][:] = [-2.0, 2.0]
+        model.normalizer = Normalizer(
+            "MINMAX", {"min": np.array([0.0, 1.0]), "max": np.array([10.0, 2.0])})
+        raw = np.array([[5.0, 2.0], [-5.0, 0.0]])
+        labels = ["b", "a"]
+        once = apply_normalizer(model.normalizer, raw)
+        twice = apply_normalizer(model.normalizer, once)
+        predicted = forward(model, once)[1].argmax(axis=1)
+        np.testing.assert_array_equal(predicted, [1, 0])
+        for rows in (raw, twice):
+            assert not np.array_equal(forward(model, rows)[1].argmax(axis=1), predicted)
+
+        report = evaluate(model, raw, labels)
+        assert report.accuracy == 1.0
+        np.testing.assert_array_equal(report.confusion, [[1, 0], [0, 1]])
+        assert [classify(model, row)[0] for row in raw] == labels
+
+    def test_callers_leave_normalization_to_evaluate(self):
+        root = Path(__file__).resolve().parent.parent
+        paths = [root / "src/adlsense/cli.py", root / "src/adlsense/pipeline.py",
+                 *sorted((root / "scripts").glob("*.py"))]
+        assert len(paths) > 2
+        assert [p.name for p in paths if "apply_normalizer(" in p.read_text()] == []
+
 
 class TestSerialization:
     def _trained(self):
@@ -389,4 +413,32 @@ class TestSerialization:
         doc = model_to_dict(self._trained())
         doc["weights"][0] = [[0.0, 0.0], [0.0, 0.0]]
         with pytest.raises(FormatError):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("output_activation", "relu"),
+        ("output_activation", "sigmoid"),
+        ("activation", "tanh"),
+    ])
+    def test_only_sigmoid_hidden_and_softmax_output_load(self, field, value):
+        doc = model_to_dict(self._trained())
+        assert (doc["activation"], doc["output_activation"]) == ("sigmoid", "softmax")
+        doc[field] = value
+        with pytest.raises(FormatError, match="activations"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("params, match", [
+        ({"mean": [0.0, 0.0], "std": [1.0, 1.0]}, "needs parameters"),
+        ({"min": [0.0, 0.0]}, "needs parameters"),
+        ({"min": [0.0], "max": [1.0]}, "shape"),
+        ({"min": [0.0, 0.0], "max": 1.0}, "shape"),
+        ({"min": [float("nan"), 0.0], "max": [1.0, 1.0]}, "non-finite"),
+        ({"min": [0.0, 0.0], "max": [1.0, float("inf")]}, "non-finite"),
+        ([], "malformed"),
+    ])
+    def test_normalizer_validated_on_load(self, params, match):
+        doc = model_to_dict(self._trained())
+        assert doc["normalizer"]["kind"] == "MINMAX"
+        doc["normalizer"]["params"] = params
+        with pytest.raises(FormatError, match=match):
             model_from_dict(doc)

@@ -17,7 +17,7 @@ The package splits into five layers:
 The ``adlsense`` console script (see :mod:`adlsense.cli`) wraps all of it.
 """
 
-from .audio import AUDIO_VARIANTS, MfccConfig, audio_feature_names, audio_feature_vector
+from .audio import AUDIO_VARIANTS, audio_feature_names, audio_feature_vector
 from .datasets import (
     DatasetConfig,
     LabeledDataset,
@@ -76,7 +76,6 @@ __all__ = [
     "DatasetConfig",
     "FormatError",
     "LabeledDataset",
-    "MfccConfig",
     "NetworkConfig",
     "NetworkModel",
     "ParseError",

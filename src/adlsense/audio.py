@@ -10,8 +10,6 @@ A4) trade that spectral detail against plain amplitude statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .signals import RAW_STAT_NAMES, SampleSeries, fft_radix2, raw_stats, stats_values
@@ -26,43 +24,14 @@ AUDIO_RECIPES = {
 }
 AUDIO_VARIANTS = tuple(AUDIO_RECIPES)
 
-
-@dataclass(frozen=True)
-class MfccConfig:
-    """Frame, filterbank and DCT settings for the cepstral pipeline.
-
-    Defaults describe 8 kHz audio cut into 25 ms frames every 10 ms.
-    """
-
-    sample_rate_hz: float = 8000.0
-    frame_length: int = 200
-    hop: int = 80
-    fft_size: int = 256
-    filter_count: int = 26
-    coefficient_count: int = 26
-    log_floor: float = 1e-10
-    mel_low_hz: float = 0.0
-    mel_high_hz: float | None = None
-
-    def __post_init__(self):
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
-            raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-        if not 1 <= self.coefficient_count <= self.filter_count:
-            raise ValueError(
-                f"coefficient_count must be in [1, {self.filter_count}], got {self.coefficient_count}"
-            )
-        if self.hop < 1:
-            raise ValueError(f"hop must be >= 1, got {self.hop}")
-        if not 2 <= self.frame_length <= self.fft_size:
-            raise ValueError(
-                f"frame_length must be in [2, fft_size={self.fft_size}], got {self.frame_length}"
-            )
-        if self.log_floor <= 0:
-            raise ValueError(f"log_floor must be positive, got {self.log_floor}")
-
-    @property
-    def mel_high_resolved_hz(self) -> float:
-        return self.sample_rate_hz / 2.0 if self.mel_high_hz is None else self.mel_high_hz
+# A1's cepstral settings: 25 ms frames every 10 ms at 8 kHz, a 256-point FFT,
+# 26 mel filters over [0, rate/2] and all 26 DCT coefficients.
+FRAME_LENGTH = 200
+HOP = 80
+FFT_SIZE = 256
+FILTER_COUNT = 26
+COEFFICIENT_COUNT = 26
+LOG_FLOOR = 1e-10
 
 
 def hz_to_mel(hz):
@@ -98,30 +67,25 @@ def hamming_window(length: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
 
 
-def mel_filterbank(config: MfccConfig) -> np.ndarray:
-    """Triangular filters on the mel scale, shape (filter_count, fft_size//2 + 1).
+def mel_filterbank(sample_rate_hz: float) -> np.ndarray:
+    """Triangular filters on the mel scale, shape (FILTER_COUNT, FFT_SIZE//2 + 1).
 
-    Filter centers sit at equal mel spacing between the low and high edges;
-    each triangle rises from the previous center bin to 1.0 at its own center
-    bin and falls to zero at the next. Center frequencies snap to FFT bins via
-    floor((fft_size + 1) * hz / sample_rate).
+    Filter centers sit at equal mel spacing between 0 Hz and rate/2; each
+    triangle rises from the previous center bin to 1.0 at its own center bin
+    and falls to zero at the next. Center frequencies snap to FFT bins via
+    floor((FFT_SIZE + 1) * hz / sample_rate).
     """
-    high = config.mel_high_resolved_hz
-    if not config.mel_low_hz < high <= config.sample_rate_hz / 2.0:
-        raise ValueError(
-            f"need mel_low < mel_high <= rate/2, got low={config.mel_low_hz}, high={high}"
-        )
-    mel_points = np.linspace(hz_to_mel(config.mel_low_hz), hz_to_mel(high), config.filter_count + 2)
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate_hz / 2.0), FILTER_COUNT + 2)
     hz_points = mel_to_hz(mel_points)
-    bins = np.floor((config.fft_size + 1) * hz_points / config.sample_rate_hz).astype(int)
+    bins = np.floor((FFT_SIZE + 1) * hz_points / sample_rate_hz).astype(int)
     if np.any(np.diff(bins[1:-1]) == 0):
         raise ValueError(
-            f"{config.filter_count} filters collide on {config.fft_size}-point FFT bins; "
-            "use fewer filters or a larger fft_size"
+            f"{FILTER_COUNT} mel filters collide on {FFT_SIZE}-point FFT bins "
+            f"at {sample_rate_hz:g} Hz; A1 needs a lower sample rate"
         )
-    num_bins = config.fft_size // 2 + 1
-    fbank = np.zeros((config.filter_count, num_bins))
-    for m in range(config.filter_count):
+    num_bins = FFT_SIZE // 2 + 1
+    fbank = np.zeros((FILTER_COUNT, num_bins))
+    for m in range(FILTER_COUNT):
         left, center, right = bins[m], bins[m + 1], bins[m + 2]
         for k in range(left, center):
             fbank[m, k] = (k - left) / (center - left)
@@ -142,24 +106,18 @@ def _dct_matrix(coefficient_count: int, input_count: int) -> np.ndarray:
     return mat
 
 
-def mfcc_frames(series: SampleSeries, config: MfccConfig | None = None) -> np.ndarray:
-    """Cepstral coefficients per frame, shape (num_frames, coefficient_count)."""
-    if config is None:
-        config = MfccConfig(sample_rate_hz=series.sample_rate_hz)
-    if series.sample_rate_hz != config.sample_rate_hz:
-        raise ValueError(
-            f"series rate {series.sample_rate_hz} != config rate {config.sample_rate_hz}"
-        )
-    frames = frame_signal(series.values, config.frame_length, config.hop)
-    frames = frames * hamming_window(config.frame_length)
-    padded = np.zeros((frames.shape[0], config.fft_size))
+def mfcc_frames(series: SampleSeries) -> np.ndarray:
+    """Cepstral coefficients per frame, shape (num_frames, COEFFICIENT_COUNT)."""
+    frames = frame_signal(series.values, FRAME_LENGTH, HOP)
+    frames = frames * hamming_window(FRAME_LENGTH)
+    padded = np.zeros((frames.shape[0], FFT_SIZE))
     padded[:, : frames.shape[1]] = frames
-    spectra = fft_radix2(padded)[:, : config.fft_size // 2 + 1]
-    power = (spectra.real**2 + spectra.imag**2) / config.fft_size
-    energies = power @ mel_filterbank(config).T
-    log_e = np.log(np.maximum(energies, config.log_floor))
-    dct = _dct_matrix(config.coefficient_count, config.filter_count)
-    coeffs = np.empty((log_e.shape[0], config.coefficient_count))
+    spectra = fft_radix2(padded)[:, : FFT_SIZE // 2 + 1]
+    power = (spectra.real**2 + spectra.imag**2) / FFT_SIZE
+    energies = power @ mel_filterbank(series.sample_rate_hz).T
+    log_e = np.log(np.maximum(energies, LOG_FLOOR))
+    dct = _dct_matrix(COEFFICIENT_COUNT, FILTER_COUNT)
+    coeffs = np.empty((log_e.shape[0], COEFFICIENT_COUNT))
     # The zeroth coefficient is the scaled total; the rest are computed on the
     # mean-removed energies so a perfectly flat log-energy row lands on 0.0
     # exactly instead of accumulating rounding noise.
@@ -169,9 +127,9 @@ def mfcc_frames(series: SampleSeries, config: MfccConfig | None = None) -> np.nd
     return coeffs
 
 
-def mfcc(series: SampleSeries, config: MfccConfig | None = None) -> np.ndarray:
+def mfcc(series: SampleSeries) -> np.ndarray:
     """Window-level coefficients: the mean of ``mfcc_frames`` over frames."""
-    return mfcc_frames(series, config).mean(axis=0)
+    return mfcc_frames(series).mean(axis=0)
 
 
 def audio_feature_vector(series: SampleSeries, variant: str = "A1") -> np.ndarray:
@@ -189,8 +147,7 @@ def audio_feature_names(variant: str = "A1") -> list[str]:
     """Column names matching ``audio_feature_vector`` element for element."""
     names = list(_recipe(variant))
     if variant == "A1":
-        count = MfccConfig().coefficient_count
-        names = [f"mfcc_{i:02d}" for i in range(count)] + names
+        names = [f"mfcc_{i:02d}" for i in range(COEFFICIENT_COUNT)] + names
     return names
 
 

@@ -32,13 +32,7 @@ from .datasets import (
     stratified_split,
     write_sensor_log,
 )
-from .errors import (
-    FormatError,
-    ParseError,
-    TrainingDivergenceError,
-    TrainingFailureError,
-    UnsupportedSensorsError,
-)
+from .errors import FormatError, TrainingDivergenceError, TrainingFailureError
 from .motion import MOTION_SENSOR_ORDER, MOTION_VARIANTS
 from .network import (
     NetworkConfig,
@@ -63,6 +57,7 @@ from .synth import (
     AdlParams,
     EnvParams,
     SynthSpec,
+    label_slug,
     synth_windows,
 )
 
@@ -88,15 +83,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (TrainingFailureError, TrainingDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except ValueError as exc:
-        # Library-level validation failures are data errors by the time the
-        # flags themselves have parsed.
+    except (ValueError, OSError) as exc:
+        # ParseError, FormatError and library-level validation failures are
+        # all ValueErrors: data errors once the flags themselves have parsed.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -244,10 +236,6 @@ def _write_manifest(manifest_path, command, config, inputs, outputs, seed):
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _slug(label: str) -> str:
-    return "".join(c if c.isalnum() else "-" for c in label)
-
-
 # ---------------------------------------------------------------------------
 # synth
 
@@ -341,7 +329,7 @@ def cmd_synth(args) -> int:
         nonlocal buffer
         if not buffer:
             return
-        slug = _slug(buffered_label)
+        slug = label_slug(buffered_label)
         if buffer[0].motion is not None:
             motion_path = out_dir / f"{slug}-motion.log"
             write_sensor_log(motion_path, [b.channel_view("motion") for b in buffer])
@@ -676,13 +664,10 @@ def cmd_pipeline_run(args) -> int:
     bundles = _load_bundles(log_paths)
     if not bundles:
         raise UsageError("the input logs contain no windows")
-    try:
-        lines = [
-            json.dumps(classify_window(pipeline, bundle).to_dict(), sort_keys=True)
-            for bundle in bundles
-        ]
-    except UnsupportedSensorsError as exc:
-        raise FormatError(str(exc)) from exc
+    lines = [
+        json.dumps(classify_window(pipeline, bundle).to_dict(), sort_keys=True)
+        for bundle in bundles
+    ]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -175,14 +175,9 @@ def init_network(config: NetworkConfig, input_size: int, labels) -> NetworkModel
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # branch on sign so neither exp() can overflow
-    out = np.empty_like(z)
-    pos = z >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[neg])
-    out[neg] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) <= 1 cannot overflow; pick the form that matches z's sign
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Windowed raw-signal primitives.
 
-Everything here operates on one 5-second sensor window at a time: a radix-2
-FFT, the power spectrum, a single-pole low-pass smoother, the Euclidean
-magnitude of a 3-axis series, and the six summary statistics that every
-feature recipe reuses. All functions are pure and safe to call from any
-number of threads.
+Everything here operates on one 5-second sensor window at a time: a batched
+radix-2 FFT, a single-pole low-pass smoother, the Euclidean magnitude of a
+3-axis series, and the six summary statistics that every feature recipe
+reuses. All functions are pure and safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -80,26 +79,6 @@ class TriaxialSeries:
         )
 
 
-@dataclass
-class Spectrum:
-    """Complex DFT bins of one window; length is always a power of two."""
-
-    bins: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.complex128)
-        if self.bins.ndim != 1 or not _is_power_of_two(self.bins.size):
-            raise ValueError(f"spectrum length must be a power of two, got {self.bins.shape}")
-        self.sample_rate_hz = float(self.sample_rate_hz)
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-
-    @property
-    def size(self) -> int:
-        return self.bins.size
-
-
 @dataclass(frozen=True)
 class RawStats:
     """The six raw-signal statistics (variance is population variance)."""
@@ -114,14 +93,6 @@ class RawStats:
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def next_power_of_two(n: int) -> int:
-    """Smallest power of two >= n (and >= 2)."""
-    size = 2
-    while size < n:
-        size *= 2
-    return size
 
 
 def _bit_reversal_permutation(n: int) -> np.ndarray:
@@ -156,33 +127,6 @@ def fft_radix2(frames: np.ndarray) -> np.ndarray:
         a = np.concatenate([top + bottom, top - bottom], axis=-1).reshape(a.shape)
         m *= 2
     return a
-
-
-def fft(series: SampleSeries, size: int | None = None) -> Spectrum:
-    """DFT of one window, zero-padded or truncated to ``size`` samples.
-
-    ``size`` defaults to the next power of two at or above the series
-    length. bins[k] = sum_n x[n] * exp(-2*pi*i*k*n/size).
-    """
-    if size is None:
-        size = next_power_of_two(len(series))
-    if not _is_power_of_two(size) or size < 2:
-        raise ValueError(f"FFT size must be a power of two >= 2, got {size}")
-    x = series.values
-    if x.size >= size:
-        padded = x[:size]
-    else:
-        padded = np.zeros(size, dtype=np.float64)
-        padded[: x.size] = x
-    return Spectrum(fft_radix2(padded), series.sample_rate_hz)
-
-
-def magnitude_spectrum(spec: Spectrum) -> np.ndarray:
-    """Power per non-negative frequency bin: |bins[k]|^2 / size,
-    for k = 0 .. size/2 (length size/2 + 1)."""
-    half = spec.size // 2 + 1
-    b = spec.bins[:half]
-    return (b.real * b.real + b.imag * b.imag) / spec.size
 
 
 def low_pass(series: SampleSeries, alpha: float = DEFAULT_LOW_PASS_ALPHA) -> SampleSeries:

@@ -139,6 +139,15 @@ class SynthSpec:
             raise ValueError("labels must be non-empty")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
+        seen = {}
+        for label in self.labels:
+            slug = label_slug(label)
+            if slug in seen:
+                raise ValueError(
+                    f"labels {seen[slug]!r} and {label!r} both become {slug!r} "
+                    "in log file names and window ids"
+                )
+            seen[slug] = label
         if self.windows_per_label < 1:
             raise ValueError(f"windows_per_label must be >= 1, got {self.windows_per_label}")
         missing = [l for l in self.labels if l not in self.params]
@@ -169,6 +178,12 @@ def default_adl_spec(windows_per_label: int = 200, seed: int = 42,
 def default_standing_spec(windows_per_label: int = 200, seed: int = 42) -> SynthSpec:
     return SynthSpec("ADL", DEFAULT_STANDING, windows_per_label,
                      dict(DEFAULT_STANDING_PARAMS), seed, with_audio=True)
+
+
+def label_slug(label: str) -> str:
+    """A label as it appears in log file names and window ids: every
+    character that is not alphanumeric becomes '-'."""
+    return "".join(c if c.isalnum() else "-" for c in label)
 
 
 def _window_rng(seed, label_index, window_index, channel):
@@ -219,7 +234,7 @@ def synth_windows(spec: SynthSpec):
     """Yield the corpus one :class:`WindowBundle` at a time."""
     for label_index, label in enumerate(spec.labels):
         params = spec.params[label]
-        slug = "".join(c if c.isalnum() else "-" for c in label)
+        slug = label_slug(label)
         for window_index in range(spec.windows_per_label):
             wid = f"{slug}-{window_index:04d}"
             if spec.kind == "ENVIRONMENT":

@@ -3,10 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adlsense.cli import main
-from adlsense.datasets import load_dataset
+from adlsense.datasets import WindowBundle, load_dataset, write_sensor_log
+from adlsense.signals import SampleSeries
 
 ENV_SPEC = """\
 [corpus]
@@ -159,6 +161,18 @@ class TestSynth:
         assert main(["synth", "--config", str(spec), "--out", str(out)]) == 0
         assert (out / "cave.log").exists()
 
+    def test_labels_sharing_a_file_name_are_a_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "clash.ini"
+        spec.write_text(
+            "[corpus]\nkind = ENVIRONMENT\nwindows_per_label = 1\nlabels = a b, a-b\n"
+            "[label:a b]\ntilt = -2.0\namplitude = 0.5\nbands = 100:50:2.0\n"
+            "[label:a-b]\ntilt = -1.0\namplitude = 0.5\nbands = 100:50:2.0\n"
+        )
+        out = tmp_path / "clash-logs"
+        assert main(["synth", "--config", str(spec), "--out", str(out)]) == 2
+        assert "'a-b'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExtract:
     def test_audio_dataset_shape(self, work):
@@ -216,6 +230,15 @@ class TestExtract:
         logs = sorted(str(p) for p in work["adl_dir"].glob("*.log"))
         assert main(["extract", *logs, "--variant", "F1", "--no-env",
                      "--sensors", "ACC,BARO", "--out", "/tmp/never.csv"]) == 2
+
+    def test_a1_on_44100_hz_audio_is_a_data_error(self, tmp_path, capsys):
+        log = tmp_path / "cd.log"
+        tone = np.sin(np.arange(4410) * 0.1)
+        write_sensor_log(log, [WindowBundle(id="w0", label="x", label_kind="ENVIRONMENT",
+                                            audio=SampleSeries(tone, 44100.0))])
+        assert main(["extract", str(log), "--variant", "A1",
+                     "--out", str(tmp_path / "never.csv")]) == 3
+        assert "44100 Hz" in capsys.readouterr().err
 
     def test_corrupt_log_is_a_data_error(self, tmp_path):
         bad = tmp_path / "bad.log"

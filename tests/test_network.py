@@ -13,6 +13,7 @@ from adlsense.errors import FormatError, TrainingDivergenceError
 from adlsense.network import (
     NetworkConfig,
     Normalizer,
+    _sigmoid,
     apply_normalizer,
     backprop_step,
     classify,
@@ -189,6 +190,11 @@ class TestForward:
         assert np.all(np.isfinite(scores))
         loss = sample_loss(model, [1e6, -1e6, 1e5], 0)
         assert math.isfinite(loss)
+
+    def test_sigmoid_saturates_without_overflow(self):
+        with np.errstate(over="raise"):
+            out = _sigmoid(np.array([-800.0, 800.0]))
+        np.testing.assert_array_equal(out, [0.0, 1.0])
 
     def test_dimension_mismatch(self):
         model = init_network(NetworkConfig(), 4, ["a", "b"])

@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from adlsense.signals import (
     RawStats,
     SampleSeries,
-    Spectrum,
     TriaxialSeries,
-    fft,
     fft_radix2,
     low_pass,
     magnitude,
-    magnitude_spectrum,
-    next_power_of_two,
     raw_stats,
     stats_values,
 )
@@ -68,35 +64,23 @@ class TestTriaxialSeries:
 
 class TestFft:
     def test_impulse_is_flat(self):
-        spec = fft(SampleSeries([1.0, 0.0, 0.0, 0.0], 8000.0))
-        np.testing.assert_allclose(spec.bins, np.ones(4), atol=1e-12)
+        bins = fft_radix2(np.array([1.0, 0.0, 0.0, 0.0]))
+        np.testing.assert_allclose(bins, np.ones(4), atol=1e-12)
 
     def test_constant_concentrates_in_dc(self):
-        spec = fft(SampleSeries(np.full(8, 3.0), 8000.0))
+        bins = fft_radix2(np.full(8, 3.0))
         expected = np.zeros(8, dtype=np.complex128)
         expected[0] = 24.0
-        np.testing.assert_allclose(spec.bins, expected, atol=1e-12)
+        np.testing.assert_allclose(bins, expected, atol=1e-12)
 
     def test_matches_naive_dft(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=64)
-        spec = fft(SampleSeries(x, 8000.0), size=64)
-        np.testing.assert_allclose(spec.bins, naive_dft(x, 64), atol=1e-9)
-
-    def test_pads_to_next_power_of_two(self):
-        x = np.arange(5, dtype=float)
-        spec = fft(SampleSeries(x, 100.0))
-        assert spec.size == 8
-        np.testing.assert_allclose(spec.bins, naive_dft(x, 8), atol=1e-9)
-
-    def test_truncates_when_size_smaller(self):
-        x = np.arange(10, dtype=float)
-        spec = fft(SampleSeries(x, 100.0), size=4)
-        np.testing.assert_allclose(spec.bins, naive_dft(x[:4], 4), atol=1e-9)
+        np.testing.assert_allclose(fft_radix2(x), naive_dft(x, 64), atol=1e-9)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            fft(SampleSeries([1.0, 2.0, 3.0], 100.0), size=6)
+            fft_radix2(np.ones(6))
 
     def test_batched_rows_transform_independently(self):
         rng = np.random.default_rng(11)
@@ -108,42 +92,28 @@ class TestFft:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(finite_floats, min_size=2, max_size=128))
     def test_matches_naive_dft_property(self, xs):
-        size = next_power_of_two(len(xs))
-        spec = fft(SampleSeries(xs, 1000.0), size=size)
+        size = 1 << (len(xs) - 1).bit_length()
+        padded = np.zeros(size)
+        padded[: len(xs)] = xs
         scale = max(1.0, float(np.max(np.abs(xs))))
-        np.testing.assert_allclose(spec.bins, naive_dft(np.asarray(xs), size), atol=1e-7 * scale * size)
+        np.testing.assert_allclose(
+            fft_radix2(padded), naive_dft(np.asarray(xs), size), atol=1e-7 * scale * size
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(finite_floats, min_size=16, max_size=16))
     def test_parseval(self, xs):
         x = np.asarray(xs)
-        spec = fft(SampleSeries(x, 1000.0), size=16)
+        bins = fft_radix2(x)
         time_energy = float(np.sum(x * x))
-        freq_energy = float(np.sum(np.abs(spec.bins) ** 2)) / 16
+        freq_energy = float(np.sum(np.abs(bins) ** 2)) / 16
         assert freq_energy == pytest.approx(time_energy, rel=1e-9, abs=1e-6)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=32), rng.normal(size=32)
-        fa = fft(SampleSeries(a, 100.0), size=32).bins
-        fb = fft(SampleSeries(b, 100.0), size=32).bins
-        fab = fft(SampleSeries(2.0 * a - 3.0 * b, 100.0), size=32).bins
-        np.testing.assert_allclose(fab, 2.0 * fa - 3.0 * fb, atol=1e-9)
-
-
-class TestMagnitudeSpectrum:
-    def test_impulse_power(self):
-        spec = fft(SampleSeries([1.0, 0.0, 0.0, 0.0], 8000.0))
-        np.testing.assert_allclose(magnitude_spectrum(spec), [0.25, 0.25, 0.25])
-
-    def test_length_is_half_plus_one(self):
-        spec = Spectrum(np.ones(256), 8000.0)
-        assert magnitude_spectrum(spec).size == 129
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(5)
-        spec = fft(SampleSeries(rng.normal(size=100), 8000.0))
-        assert np.all(magnitude_spectrum(spec) >= 0.0)
+        fab = fft_radix2(2.0 * a - 3.0 * b)
+        np.testing.assert_allclose(fab, 2.0 * fft_radix2(a) - 3.0 * fft_radix2(b), atol=1e-9)
 
 
 class TestLowPass:

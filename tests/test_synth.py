@@ -52,6 +52,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="distinct"):
             SynthSpec("ADL", ("a", "b"), 2, params)
 
+    def test_labels_sharing_a_slug_rejected(self):
+        params = {"a b": AdlParams(1.0, 2.0, 0.1, "gym"), "a-b": AdlParams(1.5, 2.0, 0.1, "gym")}
+        with pytest.raises(ValueError, match="'a b' and 'a-b'"):
+            SynthSpec("ADL", ("a b", "a-b"), 2, params)
+
     def test_missing_parameters_rejected(self):
         with pytest.raises(ValueError, match="no parameters"):
             SynthSpec("ENVIRONMENT", ("bar", "gym"), 2,

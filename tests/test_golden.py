@@ -1,0 +1,133 @@
+"""Byte identity of every CLI artifact against committed sha256 digests.
+
+One seeded chain runs every command that writes a file, from a temporary
+directory with relative paths so that manifests embed no temp paths. The
+sha256 of each file it leaves behind, manifests included, must equal the
+digest in ``golden.json``. A change that moves output bits regenerates the
+file with ``python tests/test_golden.py`` and says which digests moved and
+why.
+"""
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from adlsense.cli import main
+
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
+
+INPUTS = {
+    "env.ini": """\
+[corpus]
+kind = ENVIRONMENT
+windows_per_label = 3
+labels = bedroom, watching TV, cave
+
+[label:cave]
+tilt = -1.5
+amplitude = 0.3
+bands = 200:80:2.5, 1800:300:1.2
+""",
+    "adl.ini": """\
+[corpus]
+kind = ADL
+windows_per_label = 3
+labels = running, walking, standing, crawling
+
+[label:crawling]
+frequency_hz = 0.7
+amplitude = 0.9
+noise_std = 0.3
+environment = kitchen
+""",
+    "standing.ini": """\
+[corpus]
+kind = ADL
+windows_per_label = 3
+labels = sleeping, watching TV
+with_audio = true
+""",
+    "grid.ini": """\
+[grid]
+presets = mlp
+variants = A2, F3
+normalizations = minmax, zscore
+iterations = 300
+test_fraction = 0.5
+env = oracle
+""",
+    "pipeline.ini": """\
+[pipeline]
+env_variant = A1
+motion_variant = F2
+env_iterations = 3000
+adl_iterations = 3000
+standing_iterations = 2000
+learning_rate = 0.02
+min_train_accuracy = 0
+refine_label = standing
+low_pass_alpha = 0.3
+""",
+}
+
+COMMANDS = [
+    ["synth", "--config", "env.ini", "--out", "env", "--seed", "5"],
+    ["synth", "--config", "adl.ini", "--out", "adl", "--seed", "6"],
+    ["synth", "--config", "standing.ini", "--out", "standing", "--seed", "7"],
+    ["extract", "env", "--variant", "A1", "--out", "env-a1.csv"],
+    ["extract", "adl", "--variant", "F1", "--oracle-env", "--out", "adl-f1.csv"],
+    ["extract", "adl", "--variant", "F2", "--no-env", "--sensors", "ACC,MAG",
+     "--out", "adl-f2.csv"],
+    ["train", "env-a1.csv", "--preset", "feedforward", "--iterations", "2000",
+     "--test-fraction", "0.3", "--out", "env.model.json", "--seed", "3"],
+    ["eval", "env-a1.csv", "--model", "env.model.json", "--out", "env-eval.json"],
+    ["sweep", "standing", "--config", "grid.ini", "--out", "sweep.csv"],
+    ["pipeline", "train", "--env-logs", "env", "--adl-logs", "adl",
+     "--standing-logs", "standing", "--config", "pipeline.ini",
+     "--out", "pipeline.json", "--seed", "11"],
+    ["pipeline", "run", "standing", "adl", "--pipeline", "pipeline.json",
+     "--out", "results.jsonl"],
+]
+
+
+def run_chain(root: Path) -> dict:
+    """Run the chain in ``root`` and return {relative path: sha256}."""
+    for name, text in INPUTS.items():
+        (root / name).write_text(text, encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for argv in COMMANDS:
+            code = main(argv)
+            assert code == 0, f"{' '.join(argv)} exited {code}"
+    finally:
+        os.chdir(cwd)
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name not in INPUTS
+    }
+
+
+def test_every_artifact_matches_its_golden_digest(tmp_path, capsys):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    digests = run_chain(tmp_path)
+    capsys.readouterr()
+    versions = f"golden.json was written with numpy {golden['numpy']}; this is numpy {np.__version__}"
+    assert sorted(digests) == sorted(golden["sha256"]), versions
+    moved = [name for name in digests if digests[name] != golden["sha256"][name]]
+    assert not moved, f"digests moved for {moved}; {versions}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        digests = run_chain(Path(scratch))
+    doc = {"numpy": np.__version__, "sha256": digests}
+    GOLDEN_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {GOLDEN_PATH}", file=sys.stderr)

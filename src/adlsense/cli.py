@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import sys
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -93,6 +95,13 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
+def non_negative_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adlsense",
@@ -100,14 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"adlsense {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=non_negative_int, default=42)
 
-    p = sub.add_parser("synth", help="synthesize a corpus of raw log files")
+    p = sub.add_parser("synth", parents=[seeded], help="synthesize a corpus of raw log files")
     p.add_argument("--config", required=True, help="corpus spec file (INI)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("extract", help="turn raw logs into a feature CSV")
+    p = sub.add_parser("extract", parents=[seeded], help="turn raw logs into a feature CSV")
     p.add_argument("logs", nargs="+", help="raw log files or directories of them")
     p.add_argument("--variant", required=True, choices=ALL_VARIANTS)
     p.add_argument("--out", required=True, help="output dataset CSV")
@@ -116,54 +126,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-env", action="store_true",
                    help="build the env block from ground-truth annotations")
     p.add_argument("--no-env", action="store_true", help="omit the env block")
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=cmd_extract)
 
-    p = sub.add_parser("train", help="train one network on a dataset CSV")
+    p = sub.add_parser("train", parents=[seeded], help="train one network on a dataset CSV")
     p.add_argument("dataset", help="dataset CSV")
     p.add_argument("--preset", required=True, choices=PRESET_CHOICES)
     p.add_argument("--normalize", choices=NORMALIZE_CHOICES,
                    help="override the preset's normalizer")
-    p.add_argument("--iterations", type=int, help="training iteration budget")
+    p.add_argument("--iterations", type=non_negative_int, help="training iteration budget")
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--test-fraction", type=float, default=0.0,
                    help="hold out this fraction for the reported accuracy")
     p.add_argument("--out", required=True, help="output model JSON")
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a model on a dataset CSV")
+    p = sub.add_parser("eval", parents=[seeded], help="evaluate a model on a dataset CSV")
     p.add_argument("dataset", help="dataset CSV")
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--report", choices=("table", "json"), default="table")
     p.add_argument("--out", help="also write the JSON report here")
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("sweep", help="train a grid of models over a corpus")
+    p = sub.add_parser("sweep", parents=[seeded], help="train a grid of models over a corpus")
     p.add_argument("corpus", help="directory of raw log files")
     p.add_argument("--config", required=True, help="grid file (INI)")
     p.add_argument("--out", required=True, help="output results CSV")
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("pipeline", help="train or run the hierarchical recognizer")
     pipe = p.add_subparsers(dest="pipeline_command", required=True)
 
-    q = pipe.add_parser("train", help="train all pipeline stages")
+    q = pipe.add_parser("train", parents=[seeded], help="train all pipeline stages")
     q.add_argument("--env-logs", required=True, help="environment corpus (dir or file)")
     q.add_argument("--adl-logs", required=True, help="activity corpus (dir or file)")
     q.add_argument("--standing-logs", required=True, help="standing corpus (dir or file)")
     q.add_argument("--config", help="pipeline settings file (INI)")
     q.add_argument("--out", required=True, help="output pipeline JSON")
-    q.add_argument("--seed", type=int, default=42)
     q.set_defaults(handler=cmd_pipeline_train)
 
-    q = pipe.add_parser("run", help="classify raw log windows")
+    q = pipe.add_parser("run", parents=[seeded], help="classify raw log windows")
     q.add_argument("logs", nargs="+", help="raw log files or directories of them")
     q.add_argument("--pipeline", required=True, help="pipeline JSON")
     q.add_argument("--out", help="results file (JSON lines); default stdout")
-    q.add_argument("--seed", type=int, default=42)
     q.set_defaults(handler=cmd_pipeline_run)
 
     return parser
@@ -189,6 +193,46 @@ def _split_list(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+# How an INI value is read for each dataclass field annotation.
+INI_READERS = {
+    int: lambda section, key: section.getint(key),
+    float: lambda section, key: section.getfloat(key),
+    bool: lambda section, key: section.getboolean(key),
+    str: lambda section, key: section[key],
+    tuple: lambda section, key: tuple(_split_list(section[key])),
+}
+
+
+def ini_field_types(cls, skip=()) -> dict:
+    """Field name -> annotation for the fields of dataclass ``cls`` an INI sets."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
+
+
+def _check_keys(path, section, known):
+    for key in section:
+        if key not in known:
+            raise UsageError(f"{path}: [{section.name}] has no key {key!r}; "
+                             f"it takes {', '.join(known)}")
+
+
+def _section_values(path, section, cls, skip=()) -> dict:
+    """Keyword arguments for dataclass ``cls`` from one INI section.
+
+    Every key must name a field outside ``skip``, and is read as that field's
+    annotation (see :data:`INI_READERS`); absent keys keep their defaults.
+    """
+    types = ini_field_types(cls, skip)
+    _check_keys(path, section, types)
+    values = {}
+    for key in section:
+        try:
+            values[key] = INI_READERS[types[key]](section, key)
+        except ValueError as exc:
+            raise UsageError(f"{path}: bad value for {key} in [{section.name}]: {exc}") from exc
+    return values
+
+
 def _load_bundles(paths):
     bundles = []
     for path in paths:
@@ -209,10 +253,7 @@ def _log_paths(root) -> list:
 
 
 def _expand_logs(inputs) -> list:
-    paths = []
-    for item in inputs:
-        paths.extend(_log_paths(item))
-    return paths
+    return [path for item in inputs for path in _log_paths(item)]
 
 
 def _sha256(path) -> str:
@@ -244,34 +285,22 @@ def _load_synth_spec(path, seed) -> SynthSpec:
     ini = _read_ini(path)
     if not ini.has_section("corpus"):
         raise UsageError(f"{path}: spec needs a [corpus] section")
-    section = ini["corpus"]
-    kind = section.get("kind", "").strip()
-    if kind not in ("ENVIRONMENT", "ADL"):
-        raise UsageError(f"{path}: kind must be ENVIRONMENT or ADL, got {kind!r}")
-    try:
-        windows = section.getint("windows_per_label")
-    except ValueError as exc:
-        raise UsageError(f"{path}: bad windows_per_label: {exc}") from exc
-    if windows is None:
-        raise UsageError(f"{path}: windows_per_label is required")
-    try:
-        with_audio = section.getboolean("with_audio", fallback=False)
-    except ValueError as exc:
-        raise UsageError(f"{path}: bad with_audio: {exc}") from exc
-
+    values = _section_values(path, ini["corpus"], SynthSpec, skip=("params", "seed"))
+    kind = values.get("kind", "")
     if kind == "ENVIRONMENT":
-        defaults = dict(DEFAULT_ENV_PARAMS)
-        default_labels = DEFAULT_ENVIRONMENTS
-    else:
+        params_cls, default_labels, defaults = EnvParams, DEFAULT_ENVIRONMENTS, DEFAULT_ENV_PARAMS
+    elif kind == "ADL":
+        params_cls, default_labels = AdlParams, DEFAULT_ADLS
         defaults = {**DEFAULT_ADL_PARAMS, **DEFAULT_STANDING_PARAMS}
-        default_labels = DEFAULT_ADLS
-    labels = _split_list(section.get("labels", "")) or list(default_labels)
+    else:
+        raise UsageError(f"{path}: kind must be ENVIRONMENT or ADL, got {kind!r}")
+    values["labels"] = values.get("labels") or default_labels
 
     params = {}
-    for label in labels:
+    for label in values["labels"]:
         section_name = f"label:{label}"
         if ini.has_section(section_name):
-            params[label] = _label_params(path, kind, ini[section_name])
+            params[label] = _label_params(path, ini[section_name], params_cls)
         elif label in defaults:
             params[label] = defaults[label]
         else:
@@ -279,41 +308,20 @@ def _load_synth_spec(path, seed) -> SynthSpec:
                 f"{path}: label {label!r} has no [label:{label}] section and no default"
             )
     try:
-        return SynthSpec(kind, tuple(labels), windows, params, seed, with_audio)
-    except ValueError as exc:
+        return SynthSpec(params=params, seed=seed, **values)
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _label_params(path, kind, section):
+def _label_params(path, section, cls):
+    values = _section_values(path, section, cls)
     try:
-        if kind == "ENVIRONMENT":
-            bands = []
-            for token in _split_list(section.get("bands", "")):
-                center, width, gain = token.split(":")
-                bands.append((float(center), float(width), float(gain)))
-            return EnvParams(
-                tilt=section.getfloat("tilt"),
-                amplitude=section.getfloat("amplitude"),
-                bands=tuple(bands),
-            )
-        return AdlParams(
-            frequency_hz=section.getfloat("frequency_hz"),
-            amplitude=section.getfloat("amplitude"),
-            noise_std=section.getfloat("noise_std"),
-            environment=section.get("environment", ""),
-        )
+        if "bands" in values:
+            bands = [token.split(":") for token in values["bands"]]
+            values["bands"] = tuple((float(c), float(w), float(g)) for c, w, g in bands)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: bad [{section.name}] section: {exc}") from exc
-
-
-def _spec_to_config(spec: SynthSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "labels": list(spec.labels),
-        "windows_per_label": spec.windows_per_label,
-        "with_audio": spec.with_audio,
-        "params": {label: asdict(spec.params[label]) for label in spec.labels},
-    }
 
 
 def cmd_synth(args) -> int:
@@ -322,36 +330,21 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = []
-    buffered_label = None
-    buffer = []
+    for label, group in itertools.groupby(synth_windows(spec), key=lambda b: b.label):
+        bundles = list(group)
+        slug = label_slug(label)
+        if bundles[0].motion is None:
+            outputs.append(out_dir / f"{slug}.log")
+            write_sensor_log(outputs[-1], bundles)
+            continue
+        for channel in ("motion", "audio"):
+            if getattr(bundles[0], channel) is not None:
+                outputs.append(out_dir / f"{slug}-{channel}.log")
+                write_sensor_log(outputs[-1], [b.channel_view(channel) for b in bundles])
 
-    def flush():
-        nonlocal buffer
-        if not buffer:
-            return
-        slug = label_slug(buffered_label)
-        if buffer[0].motion is not None:
-            motion_path = out_dir / f"{slug}-motion.log"
-            write_sensor_log(motion_path, [b.channel_view("motion") for b in buffer])
-            outputs.append(motion_path)
-            if buffer[0].audio is not None:
-                audio_path = out_dir / f"{slug}-audio.log"
-                write_sensor_log(audio_path, [b.channel_view("audio") for b in buffer])
-                outputs.append(audio_path)
-        else:
-            path = out_dir / f"{slug}.log"
-            write_sensor_log(path, buffer)
-            outputs.append(path)
-        buffer = []
-
-    for bundle in synth_windows(spec):
-        if bundle.label != buffered_label:
-            flush()
-            buffered_label = bundle.label
-        buffer.append(bundle)
-    flush()
-
-    _write_manifest(out_dir / "manifest.json", "synth", _spec_to_config(spec),
+    config = asdict(spec)
+    del config["seed"]
+    _write_manifest(out_dir / "manifest.json", "synth", config,
                     [args.config], outputs, args.seed)
     print(f"wrote {len(outputs)} log file(s) to {out_dir}")
     return EXIT_OK
@@ -367,36 +360,28 @@ def cmd_extract(args) -> int:
     if variant in AUDIO_VARIANTS:
         if any(env_flags) or args.sensors:
             raise UsageError(f"audio variant {variant} takes neither --sensors nor env flags")
-        cfg = DatasetConfig()
-        env_source = None
-    else:
-        if sum(env_flags) != 1:
-            raise UsageError(
-                f"fusion variant {variant} needs exactly one environment source: "
-                "--env-model PATH, --oracle-env, or --no-env"
-            )
-        sensors = _parse_sensors(args.sensors) if args.sensors else None
-        env_source = None
-        if args.env_model is not None:
-            env_source = load_model(args.env_model)
-            cfg = DatasetConfig(
-                env_mode="predicted", sensors=sensors,
-                env_audio_variant=_audio_variant_for_model(env_source),
-            )
-        elif args.oracle_env:
-            cfg = DatasetConfig(env_mode="oracle", sensors=sensors, env_labels=())
-        else:
-            cfg = DatasetConfig(env_mode="none", sensors=sensors)
+    elif sum(env_flags) != 1:
+        raise UsageError(
+            f"fusion variant {variant} needs exactly one environment source: "
+            "--env-model PATH, --oracle-env, or --no-env"
+        )
+    options = {"sensors": _parse_sensors(args.sensors) if args.sensors else None}
+    env_source = None
+    if args.env_model is not None:
+        env_source = load_model(args.env_model)
+        options.update(env_mode="predicted",
+                       env_audio_variant=_audio_variant_for_model(env_source))
 
     log_paths = _expand_logs(args.logs)
     bundles = _load_bundles(log_paths)
     if not bundles:
         raise UsageError("the input logs contain no windows")
-    if cfg.env_mode == "oracle":
+    if args.oracle_env:
         env_labels = sorted({b.known_environment for b in bundles} - {None})
         if not env_labels:
             raise UsageError("--oracle-env needs environment annotations in the logs")
-        cfg = DatasetConfig(env_mode="oracle", sensors=cfg.sensors, env_labels=env_labels)
+        options.update(env_mode="oracle", env_labels=env_labels)
+    cfg = DatasetConfig(**options)
 
     dataset = build_dataset(bundles, variant, env_source=env_source, cfg=cfg)
     save_dataset(dataset, args.out)
@@ -521,6 +506,8 @@ def _load_grid(path):
     if not ini.has_section("grid"):
         raise UsageError(f"{path}: grid file needs a [grid] section")
     section = ini["grid"]
+    _check_keys(path, section,
+                ("presets", "variants", "normalizations", "iterations", "test_fraction", "env"))
     try:
         presets = [p.lower() for p in _split_list(section.get("presets", ""))]
         variants = _split_list(section.get("variants", ""))
@@ -532,15 +519,12 @@ def _load_grid(path):
         raise UsageError(f"{path}: bad grid value: {exc}") from exc
     if not presets or not variants or not normalizations or not iterations:
         raise UsageError(f"{path}: grid needs presets, variants, normalizations, iterations")
-    for p in presets:
-        if p not in PRESET_CHOICES:
-            raise UsageError(f"{path}: unknown preset {p!r}")
-    for v in variants:
-        if v not in ALL_VARIANTS:
-            raise UsageError(f"{path}: unknown variant {v!r}")
-    for n in normalizations:
-        if n not in NORMALIZE_CHOICES:
-            raise UsageError(f"{path}: unknown normalization {n!r}")
+    for kind, chosen, allowed in (("preset", presets, PRESET_CHOICES),
+                                  ("variant", variants, ALL_VARIANTS),
+                                  ("normalization", normalizations, NORMALIZE_CHOICES)):
+        for value in chosen:
+            if value not in allowed:
+                raise UsageError(f"{path}: unknown {kind} {value!r}")
     if env_mode not in ("none", "oracle"):
         raise UsageError(f"{path}: env must be none or oracle, got {env_mode!r}")
     if not 0.0 < test_fraction < 1.0:
@@ -605,51 +589,25 @@ def cmd_sweep(args) -> int:
 
 
 def _load_pipeline_config(path, seed) -> PipelineConfig:
-    values = {"seed": seed}
+    values = {}
     if path is not None:
         ini = _read_ini(path)
         if not ini.has_section("pipeline"):
             raise UsageError(f"{path}: pipeline config needs a [pipeline] section")
-        section = ini["pipeline"]
-        ints = ("env_iterations", "adl_iterations", "standing_iterations")
-        floats = ("learning_rate", "min_train_accuracy", "low_pass_alpha")
-        strings = ("env_variant", "motion_variant", "refine_label")
-        for key in section:
-            try:
-                if key in ints:
-                    values[key] = section.getint(key)
-                elif key in floats:
-                    values[key] = section.getfloat(key)
-                elif key in strings:
-                    values[key] = section.get(key)
-                elif key == "seed":
-                    raise UsageError(f"{path}: set the seed with --seed, not in the file")
-                else:
-                    raise UsageError(f"{path}: unknown pipeline setting {key!r}")
-            except ValueError as exc:
-                raise UsageError(f"{path}: bad value for {key}: {exc}") from exc
+        values = _section_values(path, ini["pipeline"], PipelineConfig, skip=("seed",))
     try:
-        return PipelineConfig(**values)
+        return PipelineConfig(seed=seed, **values)
     except ValueError as exc:
         raise UsageError(f"bad pipeline configuration: {exc}") from exc
 
 
 def cmd_pipeline_train(args) -> int:
     config = _load_pipeline_config(args.config, args.seed)
-    env_paths = _log_paths(args.env_logs)
-    adl_paths = _log_paths(args.adl_logs)
-    standing_paths = _log_paths(args.standing_logs)
-
-    pipeline = train_pipeline(
-        _load_bundles(env_paths),
-        _load_bundles(adl_paths),
-        _load_bundles(standing_paths),
-        config,
-    )
+    corpora = [_log_paths(root) for root in (args.env_logs, args.adl_logs, args.standing_logs)]
+    pipeline = train_pipeline(*[_load_bundles(paths) for paths in corpora], config)
     save_pipeline(pipeline, args.out)
     _write_manifest(f"{args.out}.manifest.json", "pipeline train", asdict(config),
-                    [str(p) for p in env_paths + adl_paths + standing_paths],
-                    [Path(args.out)], args.seed)
+                    [str(p) for paths in corpora for p in paths], [Path(args.out)], args.seed)
     print(
         f"trained stages: environment({len(pipeline.env_model.labels)} labels), "
         f"adl({len(pipeline.adl_model.labels)}), "

@@ -71,7 +71,7 @@ class AdlParams:
     frequency_hz: float
     amplitude: float
     noise_std: float
-    environment: str
+    environment: str = ""
 
     def __post_init__(self):
         if self.frequency_hz <= 0:

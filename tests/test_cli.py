@@ -1,14 +1,18 @@
 """End-to-end command-line flows on tiny corpora, exit codes, manifests."""
 
+import configparser
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adlsense.cli import main
+from adlsense.cli import INI_READERS, _section_values, build_parser, ini_field_types, main
 from adlsense.datasets import WindowBundle, load_dataset, write_sensor_log
+from adlsense.pipeline import PipelineConfig
 from adlsense.signals import SampleSeries
+from adlsense.synth import AdlParams, EnvParams, SynthSpec
 
 ENV_SPEC = """\
 [corpus]
@@ -429,3 +433,104 @@ class TestUsage:
             main(["--version"])
         assert err.value.code == 0
         assert capsys.readouterr().out.startswith("adlsense ")
+
+
+class TestIniReader:
+    @pytest.mark.parametrize("cls", [PipelineConfig, SynthSpec, EnvParams, AdlParams])
+    def test_every_ini_field_has_a_reader(self, cls):
+        # SynthSpec.params comes from the [label:NAME] sections, not [corpus].
+        types = ini_field_types(cls, skip=("params",))
+        unreadable = {name: t for name, t in types.items() if t not in INI_READERS}
+        assert not unreadable
+
+    def test_reads_each_key_as_its_field_type(self, tmp_path):
+        @dataclasses.dataclass(frozen=True)
+        class Settings:
+            count: int = 0
+            rate: float = 1.0
+            flag: bool = False
+            name: str = ""
+            items: tuple = ()
+            fixed: int = 5
+
+        ini = configparser.ConfigParser()
+        ini.read_string("[s]\ncount = 3\nrate = 0.25\nflag = yes\nname = a b\n"
+                        "items = x, y z,\n")
+        assert _section_values("s.ini", ini["s"], Settings, skip=("fixed",)) == {
+            "count": 3, "rate": 0.25, "flag": True, "name": "a b", "items": ("x", "y z"),
+        }
+
+    @pytest.mark.parametrize("command, text", [
+        (["synth"], "[corpus]\nkind = ADL\nwindows_per_label = 1\nwith_adio = true\n"),
+        (["synth"], "[corpus]\nkind = ENVIRONMENT\nwindows_per_label = 1\nlabels = cave\n"
+                    "[label:cave]\ntilt = -2.0\namplitude = 0.5\nband = 100:50:2\n"),
+        (["synth"], "[corpus]\nkind = ADL\nwindows_per_label = 1\nseed = 3\n"),
+        (["pipeline", "train", "--env-logs", "e", "--adl-logs", "a", "--standing-logs", "s"],
+         "[pipeline]\nseed = 3\n"),
+        (["sweep", "corpus"], "[grid]\npresets = mlp\nvariants = A2\nnormalizations = minmax\n"
+                              "iterations = 10\ntest_frac = 0.75\n"),
+        (["sweep", "corpus"], "[grid]\npresets = mlp\nvariants = F1\nnormalizations = minmax\n"
+                              "iterations = 10\nenvs = oracle\n"),
+    ])
+    def test_unknown_key_is_a_usage_error_before_any_output(self, tmp_path, capsys,
+                                                            command, text):
+        config = tmp_path / "settings.ini"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(config), "--out", str(out)]) == 2
+        assert "has no key" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["settings.ini"]
+
+    def test_label_section_missing_a_field_names_it(self, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text("[corpus]\nkind = ENVIRONMENT\nwindows_per_label = 1\nlabels = cave\n"
+                        "[label:cave]\namplitude = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(spec), "--out", str(out)]) == 2
+        assert "'tilt'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_adl_label_section_without_environment_loads_empty(self, tmp_path):
+        spec = tmp_path / "spec.ini"
+        spec.write_text("[corpus]\nkind = ADL\nwindows_per_label = 1\nlabels = crawling\n"
+                        "[label:crawling]\nfrequency_hz = 0.7\namplitude = 0.9\n"
+                        "noise_std = 0.3\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(spec), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["params"]["crawling"]["environment"] == ""
+
+    def test_bad_value_names_the_key(self, tmp_path, capsys):
+        ini = tmp_path / "p.ini"
+        ini.write_text("[pipeline]\nenv_iterations = many\n")
+        assert main(["pipeline", "train", "--env-logs", "e", "--adl-logs", "a",
+                     "--standing-logs", "s", "--config", str(ini),
+                     "--out", str(tmp_path / "never.json")]) == 2
+        assert "env_iterations" in capsys.readouterr().err
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--config", "spec.ini", "--out", "out", "--seed", "-1"],
+        ["train", "d.csv", "--preset", "mlp", "--out", "out", "--seed", "-2"],
+        ["train", "d.csv", "--preset", "mlp", "--out", "out", "--iterations", "-5"],
+        ["pipeline", "run", "logs", "--pipeline", "p.json", "--seed", "x"],
+    ])
+    def test_negative_or_non_integer_is_a_usage_error(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_command_takes_a_seed(self):
+        for argv in (["synth", "--config", "c", "--out", "o"],
+                     ["extract", "l", "--variant", "A1", "--out", "o"],
+                     ["train", "d", "--preset", "mlp", "--out", "o"],
+                     ["eval", "d", "--model", "m"],
+                     ["sweep", "c", "--config", "g", "--out", "o"],
+                     ["pipeline", "train", "--env-logs", "e", "--adl-logs", "a",
+                      "--standing-logs", "s", "--out", "o"],
+                     ["pipeline", "run", "l", "--pipeline", "p"]):
+            assert build_parser().parse_args(argv).seed == 42
+            assert build_parser().parse_args([*argv, "--seed", "0"]).seed == 0

@@ -443,7 +443,7 @@ class TestIniReader:
         unreadable = {name: t for name, t in types.items() if t not in INI_READERS}
         assert not unreadable
 
-    def test_reads_each_key_as_its_field_type(self, tmp_path):
+    def test_reads_each_key_as_its_field_type(self):
         @dataclasses.dataclass(frozen=True)
         class Settings:
             count: int = 0

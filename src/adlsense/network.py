@@ -10,6 +10,14 @@ Hidden units are sigmoids; the output layer is a softmax trained with
 cross-entropy. Training is plain online stochastic gradient descent: one
 iteration presents one sample, samples are drawn in seeded shuffled passes,
 and everything is deterministic given the seed.
+
+Each step applies the gradients :func:`loss_and_gradients` defines, fused
+over preallocated buffers. Models that share a config, labels and rows, and
+differ at most in input width, train in lockstep through
+:func:`train_group` (the pipeline's three standing refiners do); each ends
+bit-identical to training it alone. A training history holds, per
+hundredth of the budget, the mean cross-entropy of its steps plus the L2
+penalty of the weights at its end.
 """
 
 from __future__ import annotations
@@ -255,18 +263,22 @@ def loss_and_gradients(model: NetworkModel, features, label_index: int,
     return loss, weight_grads, bias_grads
 
 
-def backprop_step(model: NetworkModel, features, label_index: int,
-                  learning_rate=None, l2_lambda=None) -> float:
-    """One stochastic gradient step in place; returns the pre-update loss."""
-    if learning_rate is None:
-        learning_rate = model.config.learning_rate
-    loss, weight_grads, bias_grads = loss_and_gradients(model, features, label_index, l2_lambda)
+def _sigmoid_into(z, e, d, out) -> None:
+    """:func:`_sigmoid` of ``z`` into ``out`` with the same bits; ``e`` and
+    ``d`` are work arrays. Both branches divide by 1 + exp(-|z|), and the
+    numerator exp(min(z, 0)) is 1 where z >= 0 and exp(-|z|) elsewhere."""
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(1.0, e, out=d)
+    np.minimum(z, 0.0, out=e)
+    np.exp(e, out=e)
+    np.divide(e, d, out=out)
+
+
+def _check_loss(loss: float) -> None:
     if not math.isfinite(loss):
         raise TrainingDivergenceError(f"non-finite loss {loss!r} during training step")
-    for w, b, gw, gb in zip(model.weights, model.biases, weight_grads, bias_grads):
-        w -= learning_rate * gw
-        b -= learning_rate * gb
-    return loss
 
 
 def train(model: NetworkModel, features, labels, iteration_budget=None) -> list:
@@ -275,43 +287,185 @@ def train(model: NetworkModel, features, labels, iteration_budget=None) -> list:
     ``features`` must already be normalized with the model's normalizer.
     Samples are visited in shuffled passes drawn from a generator keyed by the
     config seed, so identical inputs give identical trained parameters. The
-    returned history holds the mean loss of each hundredth of the budget.
+    returned history holds, per hundredth of the budget, the mean
+    cross-entropy of its steps plus the L2 penalty of the weights at its end.
+    This is :func:`train_group` with a group of one.
     """
-    if iteration_budget is None:
-        iteration_budget = model.config.iteration_budget
-    x = np.ascontiguousarray(features, dtype=np.float64)
-    y = _label_indices(model, labels)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"need a non-empty (rows, features) matrix, got shape {x.shape}")
-    if x.shape[0] != y.size:
-        raise ValueError(f"{x.shape[0]} rows but {y.size} labels")
-    if iteration_budget == 0:
-        return []
+    return train_group([model], [features], labels, iteration_budget)[0]
 
-    order_rng = np.random.default_rng([model.config.seed, 1])
+
+def train_group(models, feature_sets, labels, iteration_budget=None) -> list:
+    """Online SGD of K models in lockstep, in place; one history per model.
+
+    The models share their config, their labels and the shapes of every
+    layer after the first, so only the input width may differ. Model k
+    trains on ``feature_sets[k]``, normalized rows that all share
+    ``labels``. Every model visits the rows in the order its config seed
+    draws and ends with the bits it would have trained to alone; histories
+    are as :func:`train` defines them.
+
+    A step is :func:`loss_and_gradients` and a plain update fused over
+    preallocated buffers. From the output layer down, every layer's gradient
+    and next delta come from the pre-update weights; then one elementwise
+    pass applies ``W -= lr * (outer(a, delta) + l2 * W)`` and
+    ``b -= lr * delta`` to every layer of every model. Layer 0 runs per model
+    at its own width. Later layers are stacked as ``(K, fan_in, fan_out)``
+    arrays and stepped with batched ``np.matmul``, which computes each
+    model's product as it would for that model alone. A divergence raises
+    before any model is written back, so the models keep their starting
+    parameters.
+    """
+    models = list(models)
+    if not models or len(feature_sets) != len(models):
+        raise ValueError(f"need one feature matrix per model, got {len(feature_sets)} "
+                         f"for {len(models)} models")
+    head = models[0]
+    config = head.config
+    shapes = [w.shape for w in head.weights[1:]]
+    for model in models[1:]:
+        if (model.config != config or model.labels != head.labels
+                or [w.shape for w in model.weights[1:]] != shapes):
+            raise ValueError("models trained in lockstep must share their config, "
+                             "labels and layers after the first")
+    if iteration_budget is None:
+        iteration_budget = config.iteration_budget
+    y = _label_indices(head, labels)
+    xs = []
+    for model, features in zip(models, feature_sets):
+        x = np.ascontiguousarray(features, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise ValueError(f"need a non-empty (rows, features) matrix, got shape {x.shape}")
+        if x.shape[0] != y.size:
+            raise ValueError(f"{x.shape[0]} rows but {y.size} labels")
+        if x.shape[1] != model.weights[0].shape[0]:
+            raise ValueError(f"feature count {x.shape[1]} != network input size "
+                             f"{model.weights[0].shape[0]}")
+        xs.append(x)
+    histories = [[] for _ in models]
+    if iteration_budget == 0:
+        return histories
+
+    group, layers = len(models), len(head.weights)
+    lr, l2 = config.learning_rate, config.l2_lambda
+    # All weights live in one flat buffer: layer 0 as each model's own
+    # (fan_in, fan_out) block, every later layer as one (K, fan_in, fan_out)
+    # block. Biases and deltas share a second layout of (K, 1, width) blocks.
+    # The gradients are stored in the weights' layout, so the decay and the
+    # update of every layer of every model run as four elementwise calls.
+    weight_shapes = [m.weights[0].shape for m in models]
+    weight_shapes += [(group, *w.shape) for w in head.weights[1:]]
+    row_shapes = [(group, 1, b.size) for b in head.biases]
+    flat_w, views_w = _carve(weight_shapes)
+    flat_g, views_g = _carve(weight_shapes)
+    flat_b, biases = _carve(row_shapes)
+    flat_z, z = _carve(row_shapes)
+    flat_decay, flat_step = np.empty_like(flat_w), np.empty_like(flat_z)
+    first, weights = views_w[:group], [None] + views_w[group:]
+    first_grads, grads = views_g[:group], [None] + views_g[group:]
+    for k, model in enumerate(models):
+        first[k][...] = model.weights[0]
+        for i in range(1, layers):
+            weights[i][k] = model.weights[i]
+        for i in range(layers):
+            biases[i][k, 0] = model.biases[i]
+    # z[i] holds layer i's pre-activation in the forward pass and its delta
+    # in the backward pass; acts[i] is the input of layer i; temp and spare
+    # are work arrays of z's shapes.
+    acts = [None] + [np.empty_like(r) for r in z[:-1]]
+    temp = [np.empty_like(r) for r in z]
+    spare = [np.empty_like(r) for r in z]
+    z_cols = [r.reshape(group, -1, 1) for r in z]
+    act_cols = [None] + [a.reshape(group, -1, 1) for a in acts[1:]]
+    first_rows = [z[0][k, 0] for k in range(group)]
+    first_deltas = [z[0][k] for k in range(group)]
+    x_cols = [x[:, :, None] for x in xs]
+    scores, peak = z[-1], np.empty((group, 1, 1))
+    labels_list = y.tolist()
+
+    order_rng = np.random.default_rng([config.seed, 1])
     stride = max(1, iteration_budget // 100)
-    history = []
-    chunk_total, chunk_count = 0.0, 0
+    totals = [0.0] * group
+    chunk_count = 0
     done = 0
     while done < iteration_budget:
-        perm = order_rng.permutation(x.shape[0])
-        for i in perm:
-            loss = backprop_step(model, x[i], y[i])
-            chunk_total += loss
+        for i in order_rng.permutation(y.size).tolist():
+            for k in range(group):
+                np.matmul(xs[k][i], first[k], out=first_rows[k])
+            for layer in range(1, layers):
+                below = z[layer - 1]
+                np.add(below, biases[layer - 1], out=below)
+                _sigmoid_into(below, temp[layer - 1], spare[layer - 1], acts[layer])
+                np.matmul(acts[layer], weights[layer], out=z[layer])
+            np.add(scores, biases[-1], out=scores)
+            np.maximum.reduce(scores, axis=-1, keepdims=True, out=peak)
+            np.subtract(scores, peak, out=scores)
+            np.exp(scores, out=temp[-1])
+            np.add.reduce(temp[-1], axis=-1, keepdims=True, out=peak)
+            np.log(peak, out=peak)
+            np.subtract(scores, peak, out=scores)
+            np.exp(scores, out=scores)
+
+            label = labels_list[i]
+            for k, p in enumerate(scores[:, 0, label].tolist()):
+                loss = -math.log(max(p, 5e-324))
+                _check_loss(loss)
+                totals[k] += loss
+
+            # Every gradient from the pre-update weights, then one update.
+            scores[:, 0, label] -= 1.0
+            for layer in range(layers - 1, 0, -1):
+                a_prev, below = acts[layer], z[layer - 1]
+                np.multiply(act_cols[layer], z[layer], out=grads[layer])
+                np.matmul(weights[layer], z_cols[layer], out=z_cols[layer - 1])
+                np.multiply(below, a_prev, out=below)
+                np.subtract(1.0, a_prev, out=temp[layer - 1])
+                np.multiply(below, temp[layer - 1], out=below)
+            for k in range(group):
+                np.multiply(x_cols[k][i], first_deltas[k], out=first_grads[k])
+            if l2:
+                np.multiply(l2, flat_w, out=flat_decay)
+                np.add(flat_g, flat_decay, out=flat_g)
+            np.multiply(lr, flat_g, out=flat_g)
+            np.subtract(flat_w, flat_g, out=flat_w)
+            np.multiply(lr, flat_z, out=flat_step)
+            np.subtract(flat_b, flat_step, out=flat_b)
+
             chunk_count += 1
             done += 1
-            if chunk_count == stride:
-                history.append(chunk_total / chunk_count)
-                chunk_total, chunk_count = 0.0, 0
+            if chunk_count == stride or done == iteration_budget:
+                for k in range(group):
+                    loss = totals[k] / chunk_count
+                    if l2:
+                        own = [first[k]] + [w[k] for w in weights[1:]]
+                        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in own)
+                    _check_loss(loss)
+                    histories[k].append(loss)
+                totals = [0.0] * group
+                chunk_count = 0
             if done == iteration_budget:
                 break
-    if chunk_count:
-        history.append(chunk_total / chunk_count)
-    for w in model.weights:
-        if not np.all(np.isfinite(w)):
-            raise TrainingDivergenceError("non-finite weights after training")
-    model.iterations_trained += iteration_budget
-    return history
+
+    if not np.all(np.isfinite(flat_w)):
+        raise TrainingDivergenceError("non-finite weights after training")
+    for k, model in enumerate(models):
+        model.weights[0][...] = first[k]
+        for i in range(1, layers):
+            model.weights[i][...] = weights[i][k]
+        for i in range(layers):
+            model.biases[i][...] = biases[i][k, 0]
+        model.iterations_trained += iteration_budget
+    return histories
+
+
+def _carve(shapes) -> tuple:
+    """One flat float64 buffer and a view of it for each shape, in order."""
+    flat = np.empty(sum(math.prod(shape) for shape in shapes))
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return flat, views
 
 
 @dataclass
@@ -380,17 +534,44 @@ def fit_model(config: NetworkConfig, features, labels, label_names=None,
 
     ``features`` are raw rows; the normalizer named by the config is fitted
     on them and attached to the returned model. ``label_names`` fixes the
-    label order (defaults to sorted unique labels). Returns (model, history).
+    label order (defaults to sorted unique labels). Returns (model, history),
+    with the history as :func:`train` defines it.
     """
-    x = np.asarray(features, dtype=np.float64)
     labels = list(labels)
     if label_names is None:
         label_names = sorted(set(labels))
+    model, x = _fitted_init(config, features, label_names)
+    return model, train(model, x, labels, iteration_budget)
+
+
+def fit_models(config: NetworkConfig, feature_sets, labels, label_names=None,
+               iteration_budget=None) -> list:
+    """:func:`fit_model` for several raw feature matrices of the same rows,
+    trained in lockstep by :func:`train_group`.
+
+    The matrices may differ in width, never in row count. Returns one
+    (model, history) per matrix, each bit-identical to what
+    :func:`fit_model` gives for that matrix alone.
+    """
+    labels = list(labels)
+    if label_names is None:
+        label_names = sorted(set(labels))
+    models, rows = [], []
+    for features in feature_sets:
+        model, x = _fitted_init(config, features, label_names)
+        models.append(model)
+        rows.append(x)
+    return list(zip(models, train_group(models, rows, labels, iteration_budget)))
+
+
+def _fitted_init(config: NetworkConfig, features, label_names) -> tuple:
+    """A fresh model carrying the config's normalizer fitted on the raw
+    ``features``, and those rows normalized."""
+    x = np.asarray(features, dtype=np.float64)
     norm = fit_normalizer(config.normalization, x)
     model = init_network(config, x.shape[1], label_names)
     model.normalizer = norm
-    history = train(model, apply_normalizer(norm, x), labels, iteration_budget)
-    return model, history
+    return model, apply_normalizer(norm, x)
 
 
 def _label_indices(model: NetworkModel, labels) -> np.ndarray:

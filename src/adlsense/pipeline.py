@@ -28,6 +28,7 @@ from .network import (
     classify,
     evaluate,
     fit_model,
+    fit_models,
     model_from_dict,
     model_to_dict,
 )
@@ -150,16 +151,17 @@ class RecognitionResult:
         }
 
 
-def _fit_stage(stage, preset, dataset, config, iterations, **overrides):
-    net_config = NetworkConfig.from_preset(
+def _stage_config(preset, config, iterations, **overrides):
+    return NetworkConfig.from_preset(
         preset,
         seed=config.seed,
         learning_rate=config.learning_rate,
         iteration_budget=iterations,
         **overrides,
     )
-    model, _ = fit_model(net_config, dataset.rows, dataset.labels,
-                         label_names=dataset.label_names)
+
+
+def _checked(stage, model, dataset, config):
     report = evaluate(model, dataset.rows, dataset.labels)
     if report.accuracy < config.min_train_accuracy:
         raise TrainingFailureError(
@@ -168,6 +170,12 @@ def _fit_stage(stage, preset, dataset, config, iterations, **overrides):
             f"required {config.min_train_accuracy:.3f}",
         )
     return model
+
+
+def _fit_stage(stage, preset, dataset, config, iterations, **overrides):
+    model, _ = fit_model(_stage_config(preset, config, iterations, **overrides),
+                         dataset.rows, dataset.labels, label_names=dataset.label_names)
+    return _checked(stage, model, dataset, config)
 
 
 def train_pipeline(env_bundles, adl_bundles, standing_bundles,
@@ -204,17 +212,24 @@ def train_pipeline(env_bundles, adl_bundles, standing_bundles,
             env_audio_variant=config.env_variant,
         ),
     )
-    standing_models = {}
+    datasets = {}
     for sensors in STANDING_SENSOR_SETS:
-        key = "+".join(sensors)
         wanted = set(motion_feature_names(sensors, config.motion_variant, env_model.labels))
         cols = [i for i, name in enumerate(standing.feature_names) if name in wanted]
         # A C-ordered copy keeps the normalizer's column sums bit-equal to a
         # dataset built for this sensor set alone.
-        dataset = replace(standing, feature_names=[standing.feature_names[i] for i in cols],
-                          rows=np.ascontiguousarray(standing.rows[:, cols]))
-        standing_models[key] = _fit_stage(f"standing[{key}]", "DEEP", dataset,
-                                          config, config.standing_iterations)
+        datasets["+".join(sensors)] = replace(
+            standing, feature_names=[standing.feature_names[i] for i in cols],
+            rows=np.ascontiguousarray(standing.rows[:, cols]))
+    # The refiners share their config, labels and rows, so they train in
+    # lockstep; each ends as it would trained alone.
+    fitted = fit_models(_stage_config("DEEP", config, config.standing_iterations),
+                        [d.rows for d in datasets.values()], standing.labels,
+                        label_names=standing.label_names)
+    standing_models = {
+        key: _checked(f"standing[{key}]", model, dataset, config)
+        for (key, dataset), (model, _) in zip(datasets.items(), fitted)
+    }
     return PipelineModel(config=config, env_model=env_model, adl_model=adl_model,
                          standing_models=standing_models)
 

@@ -162,6 +162,13 @@ class SynthSpec:
             raise ValueError("distinct labels must have distinct parameter tuples")
         if self.kind == "ENVIRONMENT" and self.with_audio:
             raise ValueError("with_audio applies only to ADL corpora")
+        if self.with_audio:
+            for label in self.labels:
+                environment = self.params[label].environment
+                if environment not in DEFAULT_ENV_PARAMS:
+                    raise ValueError(
+                        f"label {label!r}: no audio recipe for environment {environment!r}"
+                    )
 
 
 def default_environment_spec(windows_per_label: int = 200, seed: int = 42) -> SynthSpec:
@@ -247,13 +254,8 @@ def synth_windows(spec: SynthSpec):
                 rng = _window_rng(spec.seed, label_index, window_index, _MOTION_CHANNEL)
                 audio = None
                 if spec.with_audio:
-                    env_params = DEFAULT_ENV_PARAMS.get(params.environment)
-                    if env_params is None:
-                        raise ValueError(
-                            f"no audio recipe for environment {params.environment!r}"
-                        )
                     audio_rng = _window_rng(spec.seed, label_index, window_index, _AUDIO_CHANNEL)
-                    audio = environment_window(audio_rng, env_params)
+                    audio = environment_window(audio_rng, DEFAULT_ENV_PARAMS[params.environment])
                 yield WindowBundle(
                     id=wid, label=label, label_kind="ADL",
                     motion=motion_window(rng, params),

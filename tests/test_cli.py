@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adlsense.network
 from adlsense.cli import INI_READERS, _section_values, build_parser, ini_field_types, main
 from adlsense.datasets import WindowBundle, load_dataset, write_sensor_log
 from adlsense.pipeline import PipelineConfig
@@ -406,6 +407,32 @@ class TestPipelineCommands:
                      "--config", str(ini),
                      "--out", str(tmp_path / "never.json")]) == 4
 
+    def test_diverging_refiner_returns_training_exit_code(self, work, tmp_path, monkeypatch,
+                                                         capsys):
+        real_init = adlsense.network.init_network
+        refiners = []
+
+        def init(config, input_size, labels):
+            # The refiners are the models trained to the standing budget; the
+            # ACC+MAG one starts with a NaN weight.
+            model = real_init(config, input_size, labels)
+            if config.iteration_budget == 5000:
+                refiners.append(model)
+                if len(refiners) == 2:
+                    model.weights[0][0, 0] = np.nan
+            return model
+
+        monkeypatch.setattr(adlsense.network, "init_network", init)
+        assert main(["pipeline", "train",
+                     "--env-logs", str(work["env_dir"]),
+                     "--adl-logs", str(work["adl_dir"]),
+                     "--standing-logs", str(work["standing_dir"]),
+                     "--config", str(work["pipeline_ini"]),
+                     "--out", str(tmp_path / "never.json")]) == 4
+        assert len(refiners) == 3
+        assert "non-finite loss nan during training step" in capsys.readouterr().err
+        assert not (tmp_path / "never.json").exists()
+
     def test_unknown_pipeline_setting_is_a_usage_error(self, work, tmp_path):
         ini = tmp_path / "p.ini"
         ini.write_text("[pipeline]\nwarp_speed = 9\n")
@@ -499,6 +526,17 @@ class TestIniReader:
         assert main(["synth", "--config", str(spec), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["params"]["crawling"]["environment"] == ""
+
+    def test_audio_label_without_environment_is_a_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text("[corpus]\nkind = ADL\nwindows_per_label = 1\nlabels = crawl\n"
+                        "with_audio = true\n"
+                        "[label:crawl]\nfrequency_hz = 0.7\namplitude = 0.9\n"
+                        "noise_std = 0.3\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(spec), "--out", str(out)]) == 2
+        assert "no audio recipe for environment ''" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_value_names_the_key(self, tmp_path, capsys):
         ini = tmp_path / "p.ini"

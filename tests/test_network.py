@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from gradcheck import max_relative_gradient_error, random_net
+from reference import backprop_step, reference_train
 
 from adlsense.errors import FormatError, TrainingDivergenceError
 from adlsense.network import (
@@ -15,7 +18,6 @@ from adlsense.network import (
     Normalizer,
     _sigmoid,
     apply_normalizer,
-    backprop_step,
     classify,
     evaluate,
     fit_model,
@@ -29,6 +31,7 @@ from adlsense.network import (
     sample_loss,
     save_model,
     train,
+    train_group,
 )
 
 
@@ -289,6 +292,30 @@ class TestTrain:
         assert len(train(model.clone(), x, y, iteration_budget=1000)) == 100
         assert len(train(model.clone(), x, y, iteration_budget=7)) == 7
 
+    def test_nan_weight_raises_divergence(self):
+        model = random_net(6, [3, 4, 2], 0.0)
+        model.weights[0][0, 0] = np.nan
+        with pytest.raises(TrainingDivergenceError, match="non-finite loss nan"):
+            train(model, np.ones((4, 3)), [0, 1, 0, 1], iteration_budget=5)
+
+    def test_finite_weights_whose_l2_sum_overflows_raise(self):
+        # Every step's cross-entropy stays finite (the huge weight only
+        # saturates a sigmoid); the L2 penalty of the first chunk is inf.
+        model = random_net(8, [3, 4, 2], l2_lambda=1e-3)
+        model.weights[0][0, 0] = 1e200
+        x = np.random.default_rng(8).normal(size=(6, 3))
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingDivergenceError, match="non-finite loss inf"):
+            train(model, x, [0, 1] * 3, iteration_budget=1000)
+
+    def test_history_is_chunk_cross_entropy_plus_l2_penalty(self):
+        x = np.random.default_rng(9).normal(size=(7, 4))
+        y = [i % 3 for i in range(7)]
+        fast, slow = random_net(9, [4, 6, 3], 1e-2), random_net(9, [4, 6, 3], 1e-2)
+        history = train(fast, x, y, iteration_budget=250)
+        assert len(history) == 125
+        assert history == reference_train(slow, x, y, 250)
+
     def test_iterations_trained_accumulates(self):
         model = random_net(5, [3, 4, 2], 0.0)
         x = np.random.default_rng(6).normal(size=(8, 3))
@@ -296,6 +323,64 @@ class TestTrain:
         train(model, x, y, iteration_budget=100)
         train(model, x, y, iteration_budget=50)
         assert model.iterations_trained == 150
+
+
+class TestLockstep:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_group_equals_sequential_reference(self, data):
+        group = data.draw(st.integers(1, 4), label="group")
+        hidden = tuple(data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+                                 label="hidden"))
+        widths = data.draw(st.lists(st.integers(1, 9), min_size=group, max_size=group),
+                           label="widths")
+        label_count = data.draw(st.integers(2, 4), label="labels")
+        rows = data.draw(st.integers(2, 9), label="rows")
+        budget = data.draw(st.integers(1, 240), label="budget")
+        l2 = data.draw(st.sampled_from([0.0, 1e-3]), label="l2")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        xs = [rng.normal(size=(rows, width)) for width in widths]
+        y = rng.integers(0, label_count, size=rows)
+        config = NetworkConfig.from_preset("DEEP", hidden_layers=hidden, l2_lambda=l2,
+                                           seed=seed, learning_rate=0.1)
+        names = [f"label_{i}" for i in range(label_count)]
+
+        models = [init_network(config, width, names) for width in widths]
+        histories = train_group(models, xs, y, iteration_budget=budget)
+        for model, x, history in zip(models, xs, histories):
+            alone = init_network(config, x.shape[1], names)
+            assert history == reference_train(alone, x, y, budget)
+            assert model.iterations_trained == alone.iterations_trained == budget
+            for ours, theirs in zip(model.weights + model.biases,
+                                    alone.weights + alone.biases):
+                assert ours.tobytes() == theirs.tobytes()
+
+    def test_diverging_member_raises_the_text_it_raises_alone(self):
+        x = np.random.default_rng(11).normal(size=(6, 5))
+        y = [0, 1] * 3
+
+        def nets():
+            return [random_net(7, [3, 4, 2]), random_net(7, [5, 4, 2])]
+
+        alone = nets()[1]
+        alone.weights[0][0, 0] = np.nan
+        with pytest.raises(TrainingDivergenceError) as solo:
+            train(alone, x, y, iteration_budget=10)
+        members = nets()
+        members[1].weights[0][0, 0] = np.nan
+        with pytest.raises(TrainingDivergenceError) as grouped:
+            train_group(members, [x[:, :3], x], y, iteration_budget=10)
+        assert str(grouped.value) == str(solo.value)
+
+    def test_members_must_share_config_labels_and_later_layers(self):
+        x = np.zeros((2, 3))
+        for other in (random_net(8, [3, 4, 2]), random_net(7, [3, 5, 2]),
+                      random_net(7, [3, 4, 3])):
+            with pytest.raises(ValueError, match="lockstep"):
+                train_group([random_net(7, [3, 4, 2]), other], [x, x], [0, 1])
+        with pytest.raises(ValueError, match="one feature matrix per model"):
+            train_group([random_net(7, [3, 4, 2])], [x, x], [0, 1])
 
 
 class TestEvaluate:

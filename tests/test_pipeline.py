@@ -25,6 +25,7 @@ from adlsense.pipeline import (
     train_pipeline,
 )
 from adlsense.synth import (
+    DEFAULT_STANDING,
     default_adl_spec,
     default_environment_spec,
     default_standing_spec,
@@ -184,18 +185,24 @@ class TestTrainPipeline:
         assert len(calls) == len(env) + len(standing)
 
     def test_standing_datasets_match_per_set_builds(self, monkeypatch):
-        fitted = []
-        real_fit = adlsense.pipeline.fit_model
+        fitted, grouped = [], []
+        real_fit, real_group_fit = adlsense.pipeline.fit_model, adlsense.pipeline.fit_models
 
         def spy(config, rows, labels, **kwargs):
             fitted.append(rows)
             return real_fit(config, rows, labels, **kwargs)
 
+        def group_spy(config, row_sets, labels, **kwargs):
+            grouped.append(row_sets)
+            return real_group_fit(config, row_sets, labels, **kwargs)
+
         monkeypatch.setattr(adlsense.pipeline, "fit_model", spy)
+        monkeypatch.setattr(adlsense.pipeline, "fit_models", group_spy)
         env, adl, standing = quick_corpora()
         pipeline = train_pipeline(env, adl, standing, QUICK)
-        assert len(fitted) == 2 + len(STANDING_SENSOR_SETS)
-        for sensors, rows in zip(STANDING_SENSOR_SETS, fitted[2:]):
+        assert len(fitted) == 2
+        assert len(grouped) == 1 and len(grouped[0]) == len(STANDING_SENSOR_SETS)
+        for sensors, rows in zip(STANDING_SENSOR_SETS, grouped[0]):
             alone = build_dataset(standing, QUICK.motion_variant, env_source=pipeline.env_model,
                                   cfg=DatasetConfig(env_mode="predicted", sensors=sensors))
             assert rows.shape == alone.rows.shape
@@ -203,6 +210,24 @@ class TestTrainPipeline:
             ours, theirs = fit_normalizer("ZSCORE", rows), fit_normalizer("ZSCORE", alone.rows)
             for key in ("mean", "std"):
                 assert ours.params[key].tobytes() == theirs.params[key].tobytes(), (sensors, key)
+
+    def test_standing_failure_names_the_first_failing_sensor_set(self, monkeypatch):
+        real_evaluate = adlsense.pipeline.evaluate
+        widths = []
+
+        def rigged(model, rows, labels):
+            # Every stage passes except the refiners after the first one.
+            report = real_evaluate(model, rows, labels)
+            if model.labels == sorted(DEFAULT_STANDING):
+                widths.append(model.layer_sizes[0])
+            report.accuracy = 0.0 if len(widths) > 1 else 1.0
+            return report
+
+        monkeypatch.setattr(adlsense.pipeline, "evaluate", rigged)
+        with pytest.raises(TrainingFailureError) as err:
+            train_pipeline(*quick_corpora(), replace(QUICK, min_train_accuracy=0.5))
+        assert err.value.stage == "standing[ACC+MAG]"
+        assert len(widths) == 2 and widths[0] < widths[1]
 
     def test_low_budget_environment_stage_fails_loudly(self):
         config = PipelineConfig(seed=7, env_iterations=0)

@@ -71,11 +71,12 @@ class TestSpecValidation:
             SynthSpec("ENVIRONMENT", ("bar",), 2,
                       {"bar": DEFAULT_ENV_PARAMS["bar"]}, with_audio=True)
 
-    def test_unknown_environment_fails_at_generation(self):
-        spec = SynthSpec("ADL", ("odd",), 1, {"odd": AdlParams(1.0, 1.0, 0.1, "cave")},
-                         with_audio=True)
-        with pytest.raises(ValueError, match="cave"):
-            list(synth_windows(spec))
+    def test_unknown_audio_environment_rejected(self):
+        with pytest.raises(ValueError, match="'odd': no audio recipe for environment 'cave'"):
+            SynthSpec("ADL", ("odd",), 1, {"odd": AdlParams(1.0, 1.0, 0.1, "cave")},
+                      with_audio=True)
+        # Without audio the environment is only an annotation.
+        SynthSpec("ADL", ("odd",), 1, {"odd": AdlParams(1.0, 1.0, 0.1, "cave")})
 
 
 class TestCorpusShape:

@@ -4,14 +4,20 @@
 engine computed it before its fused lockstep step: per step, the gradients
 of :func:`adlsense.network.loss_and_gradients` in fresh arrays, then a plain
 update of every layer.
+
+``reference_parse_sensor_log`` is the log parser as it read files before
+bulk conversion: one ``_parse_sample`` call and one Python list per sample
+line, checked as it is read.
 """
 
 import math
 
 import numpy as np
 
-from adlsense.errors import TrainingDivergenceError
+from adlsense.datasets import WindowBundle, _parse_header
+from adlsense.errors import ParseError, TrainingDivergenceError
 from adlsense.network import _label_indices, forward, loss_and_gradients
+from adlsense.signals import SampleSeries, TriaxialSeries
 
 
 def backprop_step(model, features, label_index, learning_rate=None, l2_lambda=None):
@@ -56,3 +62,107 @@ def reference_train(model, features, labels, iteration_budget):
                 break
     model.iterations_trained += iteration_budget
     return history
+
+
+def reference_parse_sensor_log(path) -> list:
+    """All window bundles in one raw log file.
+
+    Malformed content raises :class:`ParseError` naming the offending line.
+    An empty or all-blank file parses to an empty list. The file is read a
+    line at a time, so only the current window's samples are held as Python
+    values.
+    """
+    bundles = []
+    window_id = None
+    window_line = 0
+    samples: list = []
+
+    def finish_window():
+        if window_id is None:
+            return
+        try:
+            bundles.append(_bundle_from_samples(header, window_id, samples))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=window_line) from exc
+
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.strip() and not any(line.strip() for line in fh):
+            return []
+        header = _parse_header(path, first.rstrip("\n"))
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text:
+                continue
+            if text.startswith("#window"):
+                finish_window()
+                window_id = text[len("#window"):].strip()
+                window_line = lineno
+                samples = []
+                if not window_id:
+                    raise ParseError("missing window id", path=path, line=lineno)
+                continue
+            if text.startswith("#"):
+                raise ParseError(f"unknown directive {text.split()[0]!r}", path=path, line=lineno)
+            if window_id is None:
+                raise ParseError("sample line before any #window", path=path, line=lineno)
+            samples.append(_parse_sample(path, lineno, text, header, samples))
+    finish_window()
+    return bundles
+
+
+def _parse_sample(path, lineno, text, header, prior):
+    if header["kind"] == "audio":
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"bad audio sample {text!r}", path=path, line=lineno)
+        if not np.isfinite(value):
+            raise ParseError(f"non-finite audio sample {text!r}", path=path, line=lineno)
+        return value
+    parts = text.split(",")
+    expected = 1 + 3 * len(header["sensors"])
+    if len(parts) != expected:
+        raise ParseError(
+            f"expected {expected} comma-separated fields, got {len(parts)}",
+            path=path, line=lineno,
+        )
+    try:
+        values = [float(v) for v in parts]
+    except ValueError as exc:
+        raise ParseError(f"bad motion sample: {exc}", path=path, line=lineno) from exc
+    if not all(np.isfinite(v) for v in values):
+        raise ParseError("non-finite motion sample", path=path, line=lineno)
+    if prior and values[0] <= prior[-1][0]:
+        raise ParseError(
+            f"non-monotonic timestamp {values[0]} after {prior[-1][0]}",
+            path=path, line=lineno,
+        )
+    return values
+
+
+def _bundle_from_samples(header, window_id, samples):
+    if not samples:
+        raise ValueError(f"window {window_id!r} has no samples")
+    rate = header["rate_hz"]
+    environment = header.get("environment")
+    if header["kind"] == "audio":
+        return WindowBundle(
+            id=window_id,
+            label=header["label"],
+            label_kind=header["label_kind"],
+            audio=SampleSeries(np.asarray(samples), rate),
+            environment=environment,
+        )
+    matrix = np.asarray(samples)
+    motion = {}
+    for i, sensor in enumerate(header["sensors"]):
+        cols = matrix[:, 1 + 3 * i : 4 + 3 * i]
+        motion[sensor] = TriaxialSeries.from_arrays(cols[:, 0], cols[:, 1], cols[:, 2], rate)
+    return WindowBundle(
+        id=window_id,
+        label=header["label"],
+        label_kind=header["label_kind"],
+        motion=motion,
+        environment=environment,
+    )

@@ -3,9 +3,11 @@
 One seeded chain runs every command that writes a file, from a temporary
 directory with relative paths so that manifests embed no temp paths. The
 sha256 of each file it leaves behind, manifests included, must equal the
-digest in ``golden.json``. A change that moves output bits regenerates the
-file with ``python tests/test_golden.py`` and says which digests moved and
-why.
+digest in ``golden.json``. So must the sha256 of the raw bytes of every
+array that ``parse_sensor_log`` reads from the chain's logs, so that a
+change to the parser shows in its own layer. A change that moves output bits
+regenerates the file with ``python tests/test_golden.py`` and says which
+digests moved and why.
 """
 
 import hashlib
@@ -15,8 +17,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from adlsense.cli import main
+from adlsense.datasets import parse_sensor_log
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 
@@ -113,14 +117,46 @@ def run_chain(root: Path) -> dict:
     }
 
 
-def test_every_artifact_matches_its_golden_digest(tmp_path, capsys):
-    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    digests = run_chain(tmp_path)
-    capsys.readouterr()
-    versions = f"golden.json was written with numpy {golden['numpy']}; this is numpy {np.__version__}"
-    assert sorted(digests) == sorted(golden["sha256"]), versions
-    moved = [name for name in digests if digests[name] != golden["sha256"][name]]
+def parsed_digests(root: Path) -> dict:
+    """{"<log> <window id> <array>": sha256 of its raw bytes} for every
+    array parsed from the logs under ``root``."""
+    digests = {}
+    for path in sorted(root.rglob("*.log")):
+        log = path.relative_to(root).as_posix()
+        for bundle in parse_sensor_log(path):
+            arrays = {"audio": bundle.audio.values} if bundle.audio is not None else {}
+            for sensor, tri in (bundle.motion or {}).items():
+                arrays.update({f"{sensor}.{axis}": getattr(tri, axis).values for axis in "xyz"})
+            for name, values in arrays.items():
+                digests[f"{log} {bundle.id} {name}"] = hashlib.sha256(values.tobytes()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """(root, artifact digests) of one run of the chain."""
+    root = tmp_path_factory.mktemp("chain")
+    return root, run_chain(root)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def assert_digests_match(digests, expected, numpy_version):
+    versions = f"golden.json was written with numpy {numpy_version}; this is numpy {np.__version__}"
+    assert sorted(digests) == sorted(expected), versions
+    moved = [name for name in digests if digests[name] != expected[name]]
     assert not moved, f"digests moved for {moved}; {versions}"
+
+
+def test_every_artifact_matches_its_golden_digest(chain, golden):
+    assert_digests_match(chain[1], golden["sha256"], golden["numpy"])
+
+
+def test_every_parsed_array_matches_its_golden_digest(chain, golden):
+    assert_digests_match(parsed_digests(chain[0]), golden["parsed_sha256"], golden["numpy"])
 
 
 if __name__ == "__main__":
@@ -128,6 +164,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as scratch:
         digests = run_chain(Path(scratch))
-    doc = {"numpy": np.__version__, "sha256": digests}
+        parsed = parsed_digests(Path(scratch))
+    doc = {"numpy": np.__version__, "sha256": digests, "parsed_sha256": parsed}
     GOLDEN_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {GOLDEN_PATH}", file=sys.stderr)
+    print(f"wrote {len(digests)} artifact and {len(parsed)} parsed-array digests "
+          f"to {GOLDEN_PATH}", file=sys.stderr)

@@ -35,6 +35,7 @@ ENV_MODES = ("none", "oracle", "predicted")
 LOG_HEADER_PREFIX = "#adl-sense v1"
 WINDOW_SECONDS = 5.0
 WINDOW_TOLERANCE = 0.1  # motion windows may deviate from 5 s by this fraction
+CHUNK_LINES = 4096  # sample lines held as text at once, before bulk conversion
 
 
 @dataclass
@@ -402,19 +403,35 @@ def parse_sensor_log(path) -> list:
 
     Malformed content raises :class:`ParseError` naming the offending line.
     An empty or all-blank file parses to an empty list. The file is read a
-    line at a time, so only the current window's samples are held as Python
-    values.
+    line at a time. Each window's sample lines are buffered as text and
+    converted in bulk, up to ``CHUNK_LINES`` lines per call, with Python's
+    ``float()``; finiteness and strictly increasing timestamps are checked
+    once per window array. Any ``ValueError`` on that pass reruns the whole
+    file through the per-line path, which converts and checks each sample as
+    it reads it, so a malformed file raises the same error, at the same line,
+    as a per-line parse would; only malformed files are read twice.
     """
+    try:
+        return _read_log(path, _BulkWindow)
+    except ValueError:
+        return _read_log(path, _CheckedWindow)
+
+
+def _read_log(path, window_type) -> list:
+    """The bundles of one log, each window's sample lines handed to a
+    ``window_type`` in chunks of its ``chunk_lines``."""
     bundles = []
     window_id = None
     window_line = 0
-    samples: list = []
+    window = None
+    lines: list = []
+    chunk_lines = window_type.chunk_lines
 
     def finish_window():
         if window_id is None:
             return
         try:
-            bundles.append(_bundle_from_samples(header, window_id, samples))
+            bundles.append(_bundle_from_samples(header, window_id, window.finish(lines)))
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=window_line) from exc
 
@@ -427,21 +444,82 @@ def parse_sensor_log(path) -> list:
             text = line.strip()
             if not text:
                 continue
-            if text.startswith("#window"):
+            if text[0] == "#":
+                if not text.startswith("#window"):
+                    raise ParseError(f"unknown directive {text.split()[0]!r}",
+                                     path=path, line=lineno)
                 finish_window()
                 window_id = text[len("#window"):].strip()
                 window_line = lineno
-                samples = []
+                window = window_type(path, header)
+                lines = []
                 if not window_id:
                     raise ParseError("missing window id", path=path, line=lineno)
                 continue
-            if text.startswith("#"):
-                raise ParseError(f"unknown directive {text.split()[0]!r}", path=path, line=lineno)
             if window_id is None:
                 raise ParseError("sample line before any #window", path=path, line=lineno)
-            samples.append(_parse_sample(path, lineno, text, header, samples))
+            lines.append(text)
+            if len(lines) == chunk_lines:
+                window.convert(lines, lineno)
+                lines = []
     finish_window()
     return bundles
+
+
+class _BulkWindow:
+    """One window's samples, converted a chunk of lines per call.
+
+    Its errors name no line; the per-line rerun finds them again. A motion
+    chunk's fields are converted as one flat run and reshaped, so every line
+    must first be shown to hold exactly ``width - 1`` commas: a 3-field line
+    next to a 5-field one would otherwise reshape into two valid-looking rows.
+    """
+
+    chunk_lines = CHUNK_LINES
+
+    def __init__(self, path, header):
+        self.width = 1 if header["kind"] == "audio" else 1 + 3 * len(header["sensors"])
+        self.chunks = []
+
+    def convert(self, lines, lineno=None):
+        if self.width == 1:
+            self.chunks.append(np.fromiter(map(float, lines), np.float64, count=len(lines)))
+            return
+        if set(map(str.count, lines, itertools.repeat(","))) != {self.width - 1}:
+            raise ValueError("a motion line has the wrong number of fields")
+        fields = itertools.chain.from_iterable(map(str.split, lines, itertools.repeat(",")))
+        values = np.fromiter(map(float, fields), np.float64, count=len(lines) * self.width)
+        self.chunks.append(values.reshape(-1, self.width))
+
+    def finish(self, lines) -> np.ndarray:
+        if lines:
+            self.convert(lines)
+        if not self.chunks:
+            raise ValueError("window has no samples")
+        values = self.chunks[0] if len(self.chunks) == 1 else np.concatenate(self.chunks)
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite sample")
+        if self.width > 1 and not (np.diff(values[:, 0]) > 0).all():
+            raise ValueError("non-monotonic timestamp")
+        return values
+
+
+class _CheckedWindow:
+    """One window's samples, each converted and checked as its line is read,
+    so that an error names its line."""
+
+    chunk_lines = 1
+
+    def __init__(self, path, header):
+        self.path = path
+        self.header = header
+        self.samples = []
+
+    def convert(self, lines, lineno):
+        self.samples.append(_parse_sample(self.path, lineno, lines[0], self.header, self.samples))
+
+    def finish(self, lines) -> np.ndarray:
+        return np.asarray(self.samples)
 
 
 def _parse_header(path, line):
@@ -527,7 +605,7 @@ def _parse_sample(path, lineno, text, header, prior):
 
 
 def _bundle_from_samples(header, window_id, samples):
-    if not samples:
+    if not len(samples):
         raise ValueError(f"window {window_id!r} has no samples")
     rate = header["rate_hz"]
     environment = header.get("environment")
@@ -536,13 +614,12 @@ def _bundle_from_samples(header, window_id, samples):
             id=window_id,
             label=header["label"],
             label_kind=header["label_kind"],
-            audio=SampleSeries(np.asarray(samples), rate),
+            audio=SampleSeries(samples, rate),
             environment=environment,
         )
-    matrix = np.asarray(samples)
     motion = {}
     for i, sensor in enumerate(header["sensors"]):
-        cols = matrix[:, 1 + 3 * i : 4 + 3 * i]
+        cols = samples[:, 1 + 3 * i : 4 + 3 * i]
         motion[sensor] = TriaxialSeries.from_arrays(cols[:, 0], cols[:, 1], cols[:, 2], rate)
     return WindowBundle(
         id=window_id,
@@ -554,7 +631,13 @@ def _bundle_from_samples(header, window_id, samples):
 
 
 def write_sensor_log(path, bundles) -> None:
-    """Write bundles sharing one label/kind/rate as a raw log file."""
+    """Write bundles sharing one label/kind/rate as a raw log file.
+
+    Every bundle is checked before the file is opened, so a bundle that
+    would not read back as written (a mismatched header field, a window id
+    with surrounding whitespace or a line break, a label or environment
+    with a line break) raises ``ValueError`` and leaves no file behind.
+    """
     bundles = list(bundles)
     if not bundles:
         raise ValueError("cannot write an empty log")
@@ -572,11 +655,16 @@ def write_sensor_log(path, bundles) -> None:
     parts.append(f"rate_hz={_fmt(rate)}")
     if first.environment is not None:
         parts.append(f"environment={shlex.quote(first.environment)}")
+    for name, text in (("label", first.label), ("environment", first.environment or "")):
+        if _has_line_break(text):
+            raise ValueError(f"{name} {text!r} contains a line break")
+    for bundle in bundles:
+        _check_bundle_matches(first, bundle, kind, sensors)
+        _check_window_id(bundle.id)
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(parts) + "\n")
         for bundle in bundles:
-            _check_bundle_matches(first, bundle, kind, sensors)
             fh.write(f"#window {bundle.id}\n")
             if kind == "audio":
                 for v in bundle.audio.values.tolist():
@@ -601,6 +689,20 @@ def _check_bundle_matches(first, bundle, kind, sensors):
         raise ValueError(f"window {bundle.id!r} does not match the file's header fields")
     if kind == "motion" and tuple(s for s in MOTION_SENSOR_ORDER if s in bundle.motion) != sensors:
         raise ValueError(f"window {bundle.id!r} has different sensors than the file header")
+
+
+def _check_window_id(window_id):
+    """A ``#window`` line ends at a line break and reads back its id stripped."""
+    if not window_id.strip():
+        raise ValueError(f"window id {window_id!r} is blank")
+    if window_id != window_id.strip():
+        raise ValueError(f"window id {window_id!r} has leading or trailing whitespace")
+    if _has_line_break(window_id):
+        raise ValueError(f"window id {window_id!r} contains a line break")
+
+
+def _has_line_break(text):
+    return "\n" in text or "\r" in text
 
 
 def _fmt(value: float) -> str:

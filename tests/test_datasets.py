@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from reference import reference_parse_sensor_log
 
 from adlsense.audio import audio_feature_names, audio_feature_vector
 from adlsense.datasets import (
@@ -19,7 +22,7 @@ from adlsense.datasets import (
     write_sensor_log,
 )
 from adlsense.errors import FormatError, ParseError
-from adlsense.motion import motion_feature_names, motion_feature_vector
+from adlsense.motion import MOTION_SENSOR_ORDER, motion_feature_names, motion_feature_vector
 from adlsense.network import NetworkConfig, init_network
 from adlsense.signals import SampleSeries, TriaxialSeries
 
@@ -482,26 +485,244 @@ class TestSensorLogs:
         with pytest.raises(ParseError, match="non-finite"):
             parse_sensor_log(path)
 
+    def test_non_finite_final_timestamp_rejected(self, tmp_path):
+        # Rising by np.diff, but no axis series holds the timestamp column.
+        path = tmp_path / "bad.log"
+        path.write_text(
+            "#adl-sense v1 kind=motion label=walking label_kind=ADL rate_hz=0.4 sensors=ACC\n"
+            "#window w0\n"
+            "0,0.1,0.2,9.7\n"
+            "inf,0.1,0.2,9.7\n"
+        )
+        with pytest.raises(ParseError, match="non-finite motion sample") as err:
+            parse_sensor_log(path)
+        assert err.value.line == 4
+
     def test_parse_peak_memory_tracks_the_parsed_arrays(self, tmp_path):
-        bundles = [
+        # Audio windows span ten conversion chunks; the motion windows'
+        # ACC+MAG+GYRO rows at 1 kHz span two.
+        audio = [
             WindowBundle(id=f"w{i}", label="bar", label_kind="ENVIRONMENT",
                          audio=audio_series(i, count=40_000))
             for i in range(8)
         ]
+        motion = [
+            WindowBundle(id=f"w{i}", label="walking", label_kind="ADL",
+                         motion={s: motion_tri(3 * i + j, count=5_000, rate=1000.0)
+                                 for j, s in enumerate(MOTION_SENSOR_ORDER)})
+            for i in range(8)
+        ]
         path = tmp_path / "long.log"
-        write_sensor_log(path, bundles)
-        tracemalloc.start()
-        try:
-            back = parse_sensor_log(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        for orig, parsed in zip(bundles, back):
-            np.testing.assert_array_equal(parsed.audio.values, orig.audio.values)
-        parsed_bytes = sum(b.audio.values.nbytes for b in back)
-        assert peak < 3 * parsed_bytes, f"peak {peak / parsed_bytes:.1f}x the parsed arrays"
+        for bundles in (audio, motion):
+            write_sensor_log(path, bundles)
+            tracemalloc.start()
+            try:
+                back = parse_sensor_log(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            for orig, parsed in zip(bundles, back):
+                for want, got in zip(bundle_arrays(orig), bundle_arrays(parsed)):
+                    np.testing.assert_array_equal(got, want)
+            parsed_bytes = sum(array.nbytes for b in back for array in bundle_arrays(b))
+            assert peak < 3 * parsed_bytes, f"peak {peak / parsed_bytes:.1f}x the parsed arrays"
 
     def test_mixed_labels_refused_on_write(self, tmp_path):
         bundles = [audio_bundle("bar", 0), audio_bundle("gym", 1)]
+        path = tmp_path / "x.log"
         with pytest.raises(ValueError, match="header fields"):
-            write_sensor_log(tmp_path / "x.log", bundles)
+            write_sensor_log(path, bundles)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("window_id, problem", [
+        ("w\n0", "line break"), ("w\r0", "line break"), (" w0 ", "whitespace"),
+        ("w0\t", "whitespace"), ("  ", "blank"),
+    ])
+    def test_ids_that_would_not_read_back_are_refused(self, tmp_path, window_id, problem):
+        path = tmp_path / "x.log"
+        bundles = [audio_bundle("bar", 0), audio_bundle("bar", 1, wid=window_id)]
+        with pytest.raises(ValueError, match=problem):
+            write_sensor_log(path, bundles)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label, environment", [("a\nb", None), ("bar", "kit\rchen")])
+    def test_header_fields_with_line_breaks_are_refused(self, tmp_path, label, environment):
+        path = tmp_path / "x.log"
+        bundle = WindowBundle(id="w0", label=label, label_kind="ENVIRONMENT",
+                              audio=audio_series(), environment=environment)
+        with pytest.raises(ValueError, match="contains a line break"):
+            write_sensor_log(path, [bundle])
+        assert not path.exists()
+
+
+def bundle_arrays(bundle):
+    """Every sample array of a bundle: its audio, then each sensor's axes."""
+    arrays = [bundle.audio.values] if bundle.audio is not None else []
+    for tri in (bundle.motion or {}).values():
+        arrays += [tri.x.values, tri.y.values, tri.z.values]
+    return arrays
+
+
+def assert_same_bundles(ours, theirs):
+    """Equal windows, with arrays equal bit for bit in dtype, shape and strides."""
+    def fields(b):
+        audio_rate = b.audio.sample_rate_hz if b.audio is not None else None
+        motion_rates = {name: tri.sample_rate_hz for name, tri in (b.motion or {}).items()}
+        return b.id, b.label, b.label_kind, b.environment, b.sensors, audio_rate, motion_rates
+
+    assert [fields(b) for b in ours] == [fields(b) for b in theirs]
+    for mine, reference in zip(ours, theirs):
+        for a, b in zip(bundle_arrays(mine), bundle_arrays(reference), strict=True):
+            assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+            assert a.tobytes() == b.tobytes()
+
+
+def parse_outcome(parse, path):
+    """(bundles, None) from a clean parse, else (None, (message, line))."""
+    try:
+        return parse(path), None
+    except ParseError as exc:
+        return None, (str(exc), exc.line)
+
+
+# Window sizes around the parser's 4096-line conversion chunk.
+CHUNK_EDGE_SIZES = (1, 4095, 4096, 4097)
+
+
+def draw_log(data):
+    """A random valid log as (header, kind, width, windows): each window an
+    (id, sample lines) pair, motion timestamps strictly increasing."""
+    sizes = st.sampled_from(CHUNK_EDGE_SIZES) | st.integers(1, 30)
+    kind = data.draw(st.sampled_from(["audio", "motion"]), label="kind")
+    count = data.draw(st.integers(1, 2), label="windows")
+    style = data.draw(st.sampled_from(["repr", "short", "padded"]), label="style")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    label = data.draw(st.sampled_from(["bar", "watching TV"]), label="label")
+    environment = data.draw(st.sampled_from(["", " environment=kitchen"]), label="env")
+
+    def token(v):
+        text = repr(float(v)) if style == "repr" else f"{v:.3g}"
+        return f" {text}\t" if style == "padded" else text
+
+    if kind == "audio":
+        width = 1
+        header = f"#adl-sense v1 kind=audio label='{label}' label_kind=ENVIRONMENT rate_hz=8000"
+    else:
+        sensors = MOTION_SENSOR_ORDER[:data.draw(st.integers(1, 3), label="sensors")]
+        size = data.draw(sizes, label="motion size")
+        width = 1 + 3 * len(sensors)
+        header = (f"#adl-sense v1 kind=motion label='{label}' label_kind=ADL "
+                  f"sensors={'+'.join(sensors)} rate_hz={size / 5.0!r}")
+    windows = []
+    for w in range(count):
+        # Motion windows must last 5 s at the header rate; audio ones may vary.
+        n = size if kind == "motion" else data.draw(sizes, label="audio size")
+        values = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-4, 5, size=(n, width))
+        if kind == "motion":
+            values[:, 0] = np.cumsum(rng.uniform(0.5, 20.0, size=n))
+            lines = [",".join([repr(float(row[0]))] + [token(v) for v in row[1:]])
+                     for row in values]
+        else:
+            lines = [token(v) for v in values[:, 0]]
+        windows.append((f"w {w}", lines))
+    return header + environment, kind, width, windows
+
+
+def render_log(data, header, windows):
+    """Log text with LF or CRLF line ends and blank lines scattered through it."""
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    blanks = data.draw(st.sampled_from([0.0, 0.01]), label="blank rate")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="blank seed"))
+    lines = [header]
+    for window_id, samples in windows:
+        if window_id is not None:  # None: samples ahead of any #window line
+            lines.append(f"#window {window_id}")
+        lines.extend(samples)
+    out = []
+    for line in lines:
+        out.append(line)
+        if rng.random() < blanks:
+            out.append(rng.choice(["", "  ", "\t"]))
+    end = newline if data.draw(st.booleans(), label="final newline") else ""
+    return newline.join(out) + end
+
+
+MUTATIONS = ("bad token", "non-finite", "equal timestamps", "missing id", "unknown directive",
+             "empty window", "too short", "sample before window", "field count")
+
+
+def mutate(data, kind, width, windows):
+    """``windows`` with one defect that the parser must report."""
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    w = data.draw(st.integers(0, len(windows) - 1), label="window")
+    window_id, lines = windows[w]
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    fields = lines[i].split(",")
+    f = data.draw(st.integers(0, len(fields) - 1), label="field")
+    if mutation in ("equal timestamps", "too short"):
+        assume(kind == "motion" and len(lines) > 1)
+    if mutation == "bad token":
+        fields[f] = data.draw(st.sampled_from(["abc", "1.2.3", "--1", "1e", "0x10", "1 2"]))
+        lines[i] = ",".join(fields)
+    elif mutation == "non-finite":
+        fields[f] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "NaN", "Infinity"]))
+        lines[i] = ",".join(fields)
+    elif mutation == "equal timestamps":
+        i = max(i, 1)
+        lines[i] = ",".join([lines[i - 1].split(",")[0]] + lines[i].split(",")[1:])
+    elif mutation == "missing id":
+        window_id = ""
+    elif mutation == "unknown directive":
+        lines.insert(i, data.draw(st.sampled_from(["#comment here", "#", "#win dow"])))
+    elif mutation == "empty window":
+        windows = windows[:w] + [("empty", [])] + windows[w:]
+        w += 1
+    elif mutation == "too short":
+        del lines[max(1, int(0.9 * len(lines)) - 1):]
+    elif mutation == "sample before window":
+        windows = [(None, [lines[i]])] + windows
+        w += 1
+    else:
+        lines[i] = ",".join(fields[:-1]) if width > 1 else lines[i] + ",0"
+    windows = list(windows)
+    windows[w] = (window_id, lines)
+    return windows
+
+
+class TestParserAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_valid_logs_parse_bit_for_bit(self, tmp_path_factory, data):
+        header, kind, width, windows = draw_log(data)
+        path = tmp_path_factory.getbasetemp() / "valid.log"
+        path.write_bytes(render_log(data, header, windows).encode("utf-8"))
+        ours, error = parse_outcome(parse_sensor_log, path)
+        assert error is None, error
+        assert_same_bundles(ours, reference_parse_sensor_log(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_malformed_logs_raise_the_reference_error(self, tmp_path_factory, data):
+        header, kind, width, windows = draw_log(data)
+        windows = mutate(data, kind, width, windows)
+        path = tmp_path_factory.getbasetemp() / "malformed.log"
+        path.write_bytes(render_log(data, header, windows).encode("utf-8"))
+        expected = parse_outcome(reference_parse_sensor_log, path)
+        assert expected[1] is not None, "the mutation left a valid log"
+        assert parse_outcome(parse_sensor_log, path) == expected
+
+    def test_mixed_field_counts_do_not_reshape_into_rows(self, tmp_path):
+        # 3 + 5 fields make two 4-field rows whose timestamps 0 and 1 rise:
+        # only a per-line field count tells this window from a valid one.
+        path = tmp_path / "mixed.log"
+        path.write_text(
+            "#adl-sense v1 kind=motion label=walking label_kind=ADL rate_hz=0.4 sensors=ACC\n"
+            "#window w0\n"
+            "0,0.1,0.2\n"
+            "2500,0.1,0.2,9.7,1\n"
+        )
+        with pytest.raises(ParseError, match="expected 4 comma-separated fields, got 3") as err:
+            parse_sensor_log(path)
+        assert err.value.line == 3
+

@@ -634,9 +634,10 @@ def write_sensor_log(path, bundles) -> None:
     """Write bundles sharing one label/kind/rate as a raw log file.
 
     Every bundle is checked before the file is opened, so a bundle that
-    would not read back as written (a mismatched header field, a window id
-    with surrounding whitespace or a line break, a label or environment
-    with a line break) raises ``ValueError`` and leaves no file behind.
+    would not read back as written (a mismatched header field or sample
+    rate, sensors of different lengths, a window id with surrounding
+    whitespace or a line break, a label or environment with a line break)
+    raises ``ValueError`` and leaves no file behind.
     """
     bundles = list(bundles)
     if not bundles:
@@ -659,7 +660,7 @@ def write_sensor_log(path, bundles) -> None:
         if _has_line_break(text):
             raise ValueError(f"{name} {text!r} contains a line break")
     for bundle in bundles:
-        _check_bundle_matches(first, bundle, kind, sensors)
+        _check_bundle_matches(first, bundle, kind, sensors, rate)
         _check_window_id(bundle.id)
 
     with open(path, "w", encoding="utf-8") as fh:
@@ -682,13 +683,18 @@ def write_sensor_log(path, bundles) -> None:
                     fh.write(",".join(fields) + "\n")
 
 
-def _check_bundle_matches(first, bundle, kind, sensors):
+def _check_bundle_matches(first, bundle, kind, sensors, rate):
     have = "audio" if bundle.audio is not None else "motion"
     if have != kind or bundle.label != first.label or bundle.label_kind != first.label_kind \
             or bundle.environment != first.environment:
         raise ValueError(f"window {bundle.id!r} does not match the file's header fields")
     if kind == "motion" and tuple(s for s in MOTION_SENSOR_ORDER if s in bundle.motion) != sensors:
         raise ValueError(f"window {bundle.id!r} has different sensors than the file header")
+    channels = [bundle.audio] if kind == "audio" else [bundle.motion[s] for s in sensors]
+    if any(channel.sample_rate_hz != rate for channel in channels):
+        raise ValueError(f"window {bundle.id!r} has a sample rate other than the file's {rate} Hz")
+    if len({len(channel) for channel in channels}) != 1:
+        raise ValueError(f"window {bundle.id!r} has sensors of different lengths")
 
 
 def _check_window_id(window_id):

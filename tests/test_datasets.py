@@ -534,6 +534,23 @@ class TestSensorLogs:
             write_sensor_log(path, bundles)
         assert not path.exists()
 
+    def test_rates_and_lengths_that_would_not_read_back_are_refused(self, tmp_path):
+        path = tmp_path / "x.log"
+        slow_audio = WindowBundle(id="w1", label="bar", label_kind="ENVIRONMENT",
+                                  audio=audio_series(1, rate=16000.0))
+        mixed_rates = WindowBundle(id="w0", label="walking", label_kind="ADL",
+                                   motion={"ACC": motion_tri(0, count=250, rate=50.0),
+                                           "MAG": motion_tri(1)})
+        mixed_lengths = WindowBundle(id="w0", label="walking", label_kind="ADL",
+                                     motion={"ACC": motion_tri(0, count=480),
+                                             "MAG": motion_tri(1)})
+        for bundles, problem in (([audio_bundle("bar", 0), slow_audio], "sample rate"),
+                                 ([mixed_rates], "sample rate"),
+                                 ([mixed_lengths], "different lengths")):
+            with pytest.raises(ValueError, match=problem):
+                write_sensor_log(path, bundles)
+            assert not path.exists()
+
     @pytest.mark.parametrize("window_id, problem", [
         ("w\n0", "line break"), ("w\r0", "line break"), (" w0 ", "whitespace"),
         ("w0\t", "whitespace"), ("  ", "blank"),

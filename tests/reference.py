@@ -8,6 +8,11 @@ update of every layer.
 ``reference_parse_sensor_log`` is the log parser as it read files before
 bulk conversion: one ``_parse_sample`` call and one Python list per sample
 line, checked as it is read.
+
+``reference_fft_radix2`` and ``reference_low_pass`` are the signal
+primitives as they computed before their buffered forms: an FFT that builds
+its twiddles and allocates a fresh array with ``np.concatenate`` at every
+stage, and a smoother that steps through numpy scalars one sample at a time.
 """
 
 import math
@@ -17,7 +22,7 @@ import numpy as np
 from adlsense.datasets import WindowBundle, _parse_header
 from adlsense.errors import ParseError, TrainingDivergenceError
 from adlsense.network import _label_indices, forward, loss_and_gradients
-from adlsense.signals import SampleSeries, TriaxialSeries
+from adlsense.signals import SampleSeries, TriaxialSeries, _bit_reversal_permutation
 
 
 def backprop_step(model, features, label_index, learning_rate=None, l2_lambda=None):
@@ -166,3 +171,36 @@ def _bundle_from_samples(header, window_id, samples):
         motion=motion,
         environment=environment,
     )
+
+
+def reference_fft_radix2(frames):
+    """Radix-2 decimation-in-time FFT along the last axis, a stage at a time."""
+    a = np.asarray(frames, dtype=np.complex128)
+    n = a.shape[-1]
+    a = a[..., _bit_reversal_permutation(n)]
+    m = 2
+    while m <= n:
+        half = m // 2
+        twiddle = np.exp(-2j * np.pi * np.arange(half) / m)
+        blocks = a.reshape(a.shape[:-1] + (n // m, m))
+        top = blocks[..., :half]
+        bottom = blocks[..., half:] * twiddle
+        a = np.concatenate([top + bottom, top - bottom], axis=-1).reshape(a.shape)
+        m *= 2
+    return a
+
+
+def reference_low_pass(series, alpha):
+    """y[0] = x[0], then y[n] = alpha*x[n] + (1-alpha)*y[n-1] per sample."""
+    x = series.values
+    y = np.empty_like(x)
+    y[0] = x[0]
+    if alpha == 1.0:
+        y[:] = x
+    else:
+        decay = 1.0 - alpha
+        acc = x[0]
+        for n in range(1, x.size):
+            acc = alpha * x[n] + decay * acc
+            y[n] = acc
+    return SampleSeries(y, series.sample_rate_hz)

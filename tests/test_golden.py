@@ -4,8 +4,9 @@ One seeded chain runs every command that writes a file, from a temporary
 directory with relative paths so that manifests embed no temp paths. The
 sha256 of each file it leaves behind, manifests included, must equal the
 digest in ``golden.json``. So must the sha256 of the raw bytes of every
-array that ``parse_sensor_log`` reads from the chain's logs, so that a
-change to the parser shows in its own layer. A change that moves output bits
+array that ``parse_sensor_log`` reads from the chain's logs, and of the A1
+vector of each audio window and the F1 vector of each motion window, so
+that a change to the parser or a feature layer shows in its own layer. A change that moves output bits
 regenerates the file with ``python tests/test_golden.py`` and says which
 digests moved and why.
 """
@@ -19,8 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adlsense.audio import audio_feature_vector
 from adlsense.cli import main
 from adlsense.datasets import parse_sensor_log
+from adlsense.motion import motion_feature_vector
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 
@@ -117,13 +120,18 @@ def run_chain(root: Path) -> dict:
     }
 
 
-def parsed_digests(root: Path) -> dict:
+def parse_logs(root: Path) -> dict:
+    """{log path relative to ``root``: its parsed bundles} for every log."""
+    return {path.relative_to(root).as_posix(): parse_sensor_log(path)
+            for path in sorted(root.rglob("*.log"))}
+
+
+def parsed_digests(logs: dict) -> dict:
     """{"<log> <window id> <array>": sha256 of its raw bytes} for every
-    array parsed from the logs under ``root``."""
+    array parsed from ``logs``."""
     digests = {}
-    for path in sorted(root.rglob("*.log")):
-        log = path.relative_to(root).as_posix()
-        for bundle in parse_sensor_log(path):
+    for log, bundles in logs.items():
+        for bundle in bundles:
             arrays = {"audio": bundle.audio.values} if bundle.audio is not None else {}
             for sensor, tri in (bundle.motion or {}).items():
                 arrays.update({f"{sensor}.{axis}": getattr(tri, axis).values for axis in "xyz"})
@@ -132,11 +140,26 @@ def parsed_digests(root: Path) -> dict:
     return digests
 
 
+def feature_digests(logs: dict) -> dict:
+    """{"<log> <window id> A1|F1": sha256 of the vector's raw bytes}: A1 of
+    each audio window, F1 over all sensors of each motion window."""
+    digests = {}
+    for log, bundles in logs.items():
+        for bundle in bundles:
+            if bundle.audio is not None:
+                vector, variant = audio_feature_vector(bundle.audio, "A1"), "A1"
+            else:
+                vector, variant = motion_feature_vector(bundle.motion, "F1"), "F1"
+            digests[f"{log} {bundle.id} {variant}"] = hashlib.sha256(vector.tobytes()).hexdigest()
+    return digests
+
+
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
-    """(root, artifact digests) of one run of the chain."""
+    """(parsed logs, artifact digests) of one run of the chain."""
     root = tmp_path_factory.mktemp("chain")
-    return root, run_chain(root)
+    digests = run_chain(root)
+    return parse_logs(root), digests
 
 
 @pytest.fixture(scope="module")
@@ -159,13 +182,19 @@ def test_every_parsed_array_matches_its_golden_digest(chain, golden):
     assert_digests_match(parsed_digests(chain[0]), golden["parsed_sha256"], golden["numpy"])
 
 
+def test_every_feature_vector_matches_its_golden_digest(chain, golden):
+    assert_digests_match(feature_digests(chain[0]), golden["feature_sha256"], golden["numpy"])
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
         digests = run_chain(Path(scratch))
-        parsed = parsed_digests(Path(scratch))
-    doc = {"numpy": np.__version__, "sha256": digests, "parsed_sha256": parsed}
+        logs = parse_logs(Path(scratch))
+    parsed, features = parsed_digests(logs), feature_digests(logs)
+    doc = {"numpy": np.__version__, "sha256": digests, "parsed_sha256": parsed,
+           "feature_sha256": features}
     GOLDEN_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} artifact and {len(parsed)} parsed-array digests "
-          f"to {GOLDEN_PATH}", file=sys.stderr)
+    print(f"wrote {len(digests)} artifact, {len(parsed)} parsed-array and {len(features)} "
+          f"feature-vector digests to {GOLDEN_PATH}", file=sys.stderr)

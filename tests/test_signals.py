@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import reference_fft_radix2, reference_low_pass
 
 from adlsense.signals import (
     RawStats,
@@ -171,6 +172,53 @@ class TestLowPass:
             acc = alpha * v + (1 - alpha) * acc
             expected.append(acc)
         np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-12)
+
+
+def signed_values(rng, shape, zero_rate):
+    """Normal samples over many magnitudes, a ``zero_rate`` share of them
+    replaced by +0.0 or -0.0."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-60, 60, size=shape)
+    zeros = rng.random(size=shape) < zero_rate
+    values[zeros] = np.copysign(0.0, rng.normal(size=shape))[zeros]
+    return values
+
+
+def bits(array):
+    """The raw bits of a float64 or complex128 array, with its shape."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log2_n=st.integers(1, 10),
+        leading=st.lists(st.integers(0, 3), max_size=2),
+        complex_input=st.booleans(),
+        zero_rate=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fft_gives_the_reference_bits(self, log2_n, leading, complex_input, zero_rate, seed):
+        rng = np.random.default_rng(seed)
+        shape = (*leading, 1 << log2_n)
+        frames = signed_values(rng, shape, zero_rate)
+        if complex_input:
+            frames = frames + 1j * signed_values(rng, shape, zero_rate)
+        ours, expected = fft_radix2(frames), reference_fft_radix2(frames)
+        assert (ours.dtype, ours.shape) == (expected.dtype, expected.shape)
+        assert np.array_equal(bits(ours), bits(expected))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(1, 2000),
+        alpha=st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True),
+        zero_rate=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_low_pass_gives_the_reference_bits(self, size, alpha, zero_rate, seed):
+        series = SampleSeries(signed_values(np.random.default_rng(seed), size, zero_rate), 100.0)
+        ours, expected = low_pass(series, alpha), reference_low_pass(series, alpha)
+        assert ours.sample_rate_hz == expected.sample_rate_hz
+        assert np.array_equal(bits(ours.values), bits(expected.values))
 
 
 class TestMagnitude:

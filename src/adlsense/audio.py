@@ -10,6 +10,8 @@ A4) trade that spectral detail against plain amplitude statistics.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .signals import RAW_STAT_NAMES, SampleSeries, fft_radix2, raw_stats, stats_values
@@ -48,15 +50,14 @@ def frame_signal(values: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
 
     Frames start at 0, hop, 2*hop, ...; trailing samples that do not fill a
     whole frame are dropped. A window shorter than one frame is an error.
+    The frames are a read-only strided view of ``values``, not a copy.
     """
     x = np.asarray(values, dtype=np.float64)
     if frame_length < 1 or hop < 1:
         raise ValueError("frame_length and hop must be positive")
     if x.size < frame_length:
         raise ValueError(f"window of {x.size} samples is shorter than one {frame_length}-sample frame")
-    num_frames = 1 + (x.size - frame_length) // hop
-    starts = np.arange(num_frames) * hop
-    return x[starts[:, None] + np.arange(frame_length)]
+    return np.lib.stride_tricks.sliding_window_view(x, frame_length)[::hop]
 
 
 def hamming_window(length: int) -> np.ndarray:
@@ -106,24 +107,37 @@ def _dct_matrix(coefficient_count: int, input_count: int) -> np.ndarray:
     return mat
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+# A1's fixed tables, built once: the filterbank per sample rate, on first use.
+_HAMMING = _read_only(hamming_window(FRAME_LENGTH))
+_DCT = _read_only(_dct_matrix(COEFFICIENT_COUNT, FILTER_COUNT))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_filterbank(sample_rate_hz: float) -> np.ndarray:
+    return _read_only(mel_filterbank(sample_rate_hz))
+
+
 def mfcc_frames(series: SampleSeries) -> np.ndarray:
     """Cepstral coefficients per frame, shape (num_frames, COEFFICIENT_COUNT)."""
     frames = frame_signal(series.values, FRAME_LENGTH, HOP)
-    frames = frames * hamming_window(FRAME_LENGTH)
     padded = np.zeros((frames.shape[0], FFT_SIZE))
-    padded[:, : frames.shape[1]] = frames
+    np.multiply(frames, _HAMMING, out=padded[:, :FRAME_LENGTH])
     spectra = fft_radix2(padded)[:, : FFT_SIZE // 2 + 1]
     power = (spectra.real**2 + spectra.imag**2) / FFT_SIZE
-    energies = power @ mel_filterbank(series.sample_rate_hz).T
+    energies = power @ _cached_filterbank(series.sample_rate_hz).T
     log_e = np.log(np.maximum(energies, LOG_FLOOR))
-    dct = _dct_matrix(COEFFICIENT_COUNT, FILTER_COUNT)
     coeffs = np.empty((log_e.shape[0], COEFFICIENT_COUNT))
     # The zeroth coefficient is the scaled total; the rest are computed on the
     # mean-removed energies so a perfectly flat log-energy row lands on 0.0
     # exactly instead of accumulating rounding noise.
-    coeffs[:, 0] = log_e.sum(axis=1) * dct[0, 0]
+    coeffs[:, 0] = log_e.sum(axis=1) * _DCT[0, 0]
     centered = log_e - log_e.mean(axis=1, keepdims=True)
-    coeffs[:, 1:] = centered @ dct[1:].T
+    coeffs[:, 1:] = centered @ _DCT[1:].T
     return coeffs
 
 

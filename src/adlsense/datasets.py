@@ -35,7 +35,7 @@ ENV_MODES = ("none", "oracle", "predicted")
 LOG_HEADER_PREFIX = "#adl-sense v1"
 WINDOW_SECONDS = 5.0
 WINDOW_TOLERANCE = 0.1  # motion windows may deviate from 5 s by this fraction
-CHUNK_LINES = 4096  # sample lines held as text at once, before bulk conversion
+BLOCK_CHARS = 1 << 17  # log text read and converted at once by the bulk parser
 
 
 @dataclass
@@ -402,44 +402,132 @@ def parse_sensor_log(path) -> list:
     """All window bundles in one raw log file.
 
     Malformed content raises :class:`ParseError` naming the offending line.
-    An empty or all-blank file parses to an empty list. The file is read a
-    line at a time. Each window's sample lines are buffered as text and
-    converted in bulk, up to ``CHUNK_LINES`` lines per call, with Python's
-    ``float()``; finiteness and strictly increasing timestamps are checked
-    once per window array. Any ``ValueError`` on that pass reruns the whole
-    file through the per-line path, which converts and checks each sample as
-    it reads it, so a malformed file raises the same error, at the same line,
-    as a per-line parse would; only malformed files are read twice.
+    An empty or all-blank file parses to an empty list. The body is read
+    ``BLOCK_CHARS`` characters at a time, a partial last line carried over
+    to the next block, and ``#window`` lines are found by searching for
+    ``#``. Each stretch of sample lines between them is converted in one
+    run of Python's ``float()`` (a motion stretch once every line is shown
+    to hold the header's field count); finiteness and strictly increasing
+    timestamps are checked once per window array. Anything else, a blank
+    line, a ``#`` inside a line, an unknown directive, an empty window id or
+    a sample ahead of any ``#window``, raises ``ValueError`` on that pass and
+    reruns the whole file through the per-line path, which converts and
+    checks each sample as it reads it, so a malformed file raises the same
+    error, at the same line, as a per-line parse would; only such files are
+    read twice.
     """
     try:
-        return _read_log(path, _BulkWindow)
+        return _read_blocks(path)
     except ValueError:
-        return _read_log(path, _CheckedWindow)
+        return _read_log(path)
 
 
-def _read_log(path, window_type) -> list:
-    """The bundles of one log, each window's sample lines handed to a
-    ``window_type`` in chunks of its ``chunk_lines``."""
+def _read_header(path, fh):
+    """The parsed header of an open log, or None when the file is all blank."""
+    first = fh.readline()
+    if not first.strip() and not any(line.strip() for line in fh):
+        return None
+    return _parse_header(path, first.rstrip("\n"))
+
+
+def _read_blocks(path) -> list:
+    """The bundles of one well-formed log, converted a block at a time. Its
+    errors name no line; the per-line rerun finds them again."""
+    bundles = []
+    window_id = None
+    chunks: list = []
+
+    def finish_window():
+        if window_id is not None:
+            bundles.append(_bundle_from_samples(header, window_id, _join_chunks(chunks, width)))
+
+    with open(path, encoding="utf-8") as fh:
+        header = _read_header(path, fh)
+        if header is None:
+            return []
+        width = 1 if header["kind"] == "audio" else 1 + 3 * len(header["sensors"])
+        carry = ""
+        while True:
+            block = fh.read(BLOCK_CHARS)
+            text = carry + block
+            if not block:
+                if not text:
+                    break
+                text += "\n"
+            cut = text.rfind("\n") + 1
+            carry = text[cut:]
+            pos = 0  # always the start of a line
+            while pos < cut:
+                mark = text.find("#", pos, cut)
+                end = cut if mark < 0 else mark
+                if end > pos:
+                    if window_id is None:
+                        raise ValueError("sample line before any #window")
+                    chunks.append(_convert_lines(text[pos:end - 1], width))
+                if mark < 0:
+                    break
+                if mark > pos and text[mark - 1] != "\n":
+                    raise ValueError("'#' inside a line")
+                line_end = text.index("\n", mark)
+                if not text.startswith("#window", mark, line_end):
+                    raise ValueError("unknown directive")
+                finish_window()
+                window_id = text[mark + len("#window"):line_end].strip()
+                chunks = []
+                if not window_id:
+                    raise ValueError("missing window id")
+                pos = line_end + 1
+    finish_window()
+    return bundles
+
+
+def _convert_lines(text, width) -> np.ndarray:
+    """The ``(lines, width)`` samples of newline-separated sample lines, one
+    ``float()`` per field. A motion stretch's fields are converted as one
+    flat run and reshaped, so every line must first be shown to hold exactly
+    ``width - 1`` commas: a 3-field line next to a 5-field one would
+    otherwise reshape into two valid-looking rows."""
+    lines = text.split("\n")
+    if width == 1:
+        return np.fromiter(map(float, lines), np.float64, count=len(lines))
+    if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
+        raise ValueError("a motion line has the wrong number of fields")
+    fields = text.replace("\n", ",").split(",")
+    return np.fromiter(map(float, fields), np.float64, count=len(fields)).reshape(-1, width)
+
+
+def _join_chunks(chunks, width) -> np.ndarray:
+    """One window's converted chunks as one array, checked as a whole."""
+    if not chunks:
+        raise ValueError("window has no samples")
+    values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite sample")
+    if width > 1 and not (np.diff(values[:, 0]) > 0).all():
+        raise ValueError("non-monotonic timestamp")
+    return values
+
+
+def _read_log(path) -> list:
+    """The bundles of one log, each sample converted and checked as its
+    line is read, so that an error names its line."""
     bundles = []
     window_id = None
     window_line = 0
-    window = None
-    lines: list = []
-    chunk_lines = window_type.chunk_lines
+    samples: list = []
 
     def finish_window():
         if window_id is None:
             return
         try:
-            bundles.append(_bundle_from_samples(header, window_id, window.finish(lines)))
+            bundles.append(_bundle_from_samples(header, window_id, np.asarray(samples)))
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=window_line) from exc
 
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip() and not any(line.strip() for line in fh):
+        header = _read_header(path, fh)
+        if header is None:
             return []
-        header = _parse_header(path, first.rstrip("\n"))
         for lineno, line in enumerate(fh, start=2):
             text = line.strip()
             if not text:
@@ -451,75 +539,15 @@ def _read_log(path, window_type) -> list:
                 finish_window()
                 window_id = text[len("#window"):].strip()
                 window_line = lineno
-                window = window_type(path, header)
-                lines = []
+                samples = []
                 if not window_id:
                     raise ParseError("missing window id", path=path, line=lineno)
                 continue
             if window_id is None:
                 raise ParseError("sample line before any #window", path=path, line=lineno)
-            lines.append(text)
-            if len(lines) == chunk_lines:
-                window.convert(lines, lineno)
-                lines = []
+            samples.append(_parse_sample(path, lineno, text, header, samples))
     finish_window()
     return bundles
-
-
-class _BulkWindow:
-    """One window's samples, converted a chunk of lines per call.
-
-    Its errors name no line; the per-line rerun finds them again. A motion
-    chunk's fields are converted as one flat run and reshaped, so every line
-    must first be shown to hold exactly ``width - 1`` commas: a 3-field line
-    next to a 5-field one would otherwise reshape into two valid-looking rows.
-    """
-
-    chunk_lines = CHUNK_LINES
-
-    def __init__(self, path, header):
-        self.width = 1 if header["kind"] == "audio" else 1 + 3 * len(header["sensors"])
-        self.chunks = []
-
-    def convert(self, lines, lineno=None):
-        if self.width == 1:
-            self.chunks.append(np.fromiter(map(float, lines), np.float64, count=len(lines)))
-            return
-        if set(map(str.count, lines, itertools.repeat(","))) != {self.width - 1}:
-            raise ValueError("a motion line has the wrong number of fields")
-        fields = itertools.chain.from_iterable(map(str.split, lines, itertools.repeat(",")))
-        values = np.fromiter(map(float, fields), np.float64, count=len(lines) * self.width)
-        self.chunks.append(values.reshape(-1, self.width))
-
-    def finish(self, lines) -> np.ndarray:
-        if lines:
-            self.convert(lines)
-        if not self.chunks:
-            raise ValueError("window has no samples")
-        values = self.chunks[0] if len(self.chunks) == 1 else np.concatenate(self.chunks)
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite sample")
-        if self.width > 1 and not (np.diff(values[:, 0]) > 0).all():
-            raise ValueError("non-monotonic timestamp")
-        return values
-
-
-class _CheckedWindow:
-    """One window's samples, each converted and checked as its line is read,
-    so that an error names its line."""
-
-    chunk_lines = 1
-
-    def __init__(self, path, header):
-        self.path = path
-        self.header = header
-        self.samples = []
-
-    def convert(self, lines, lineno):
-        self.samples.append(_parse_sample(self.path, lineno, lines[0], self.header, self.samples))
-
-    def finish(self, lines) -> np.ndarray:
-        return np.asarray(self.samples)
 
 
 def _parse_header(path, line):
@@ -666,21 +694,15 @@ def write_sensor_log(path, bundles) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(parts) + "\n")
         for bundle in bundles:
-            fh.write(f"#window {bundle.id}\n")
             if kind == "audio":
-                for v in bundle.audio.values.tolist():
-                    fh.write(_fmt(v) + "\n")
+                lines = _fmt_floats(bundle.audio.values.tolist())
             else:
-                axes = [bundle.motion[s] for s in sensors]
-                count = len(axes[0])
+                axes = [getattr(bundle.motion[s], axis) for s in sensors for axis in "xyz"]
                 step_ms = 1000.0 / rate
-                for n in range(count):
-                    fields = [_fmt(round(n * step_ms, 6))]
-                    for tri in axes:
-                        fields.extend(
-                            _fmt(v) for v in (tri.x.values[n], tri.y.values[n], tri.z.values[n])
-                        )
-                    fh.write(",".join(fields) + "\n")
+                columns = [_fmt_floats([round(n * step_ms, 6) for n in range(len(axes[0]))])]
+                columns += [_fmt_floats(axis.values.tolist()) for axis in axes]
+                lines = map(",".join, zip(*columns))
+            fh.write(f"#window {bundle.id}\n" + "\n".join(lines) + "\n")
 
 
 def _check_bundle_matches(first, bundle, kind, sensors, rate):
@@ -712,5 +734,9 @@ def _has_line_break(text):
 
 
 def _fmt(value: float) -> str:
-    text = repr(float(value))
-    return text[:-2] if text.endswith(".0") else text
+    return _fmt_floats([float(value)])[0]
+
+
+def _fmt_floats(values: list) -> list:
+    """Shortest round-trip text of each Python float, without a trailing ".0"."""
+    return [text[:-2] if text.endswith(".0") else text for text in map(repr, values)]

@@ -3,11 +3,15 @@
 Everything here operates on one 5-second sensor window at a time: a batched
 radix-2 FFT, a single-pole low-pass smoother, the Euclidean magnitude of a
 3-axis series, and the six summary statistics that every feature recipe
-reuses. All functions are pure and safe to call from any number of threads.
+reuses. The FFT keeps its bit-reversal permutation and twiddles per size in
+read-only arrays and allocates its working buffers per call, so all
+functions are pure and safe to call from any number of threads.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,49 +109,71 @@ def _bit_reversal_permutation(n: int) -> np.ndarray:
     return rev
 
 
+@functools.lru_cache(maxsize=None)
+def _fft_plan(n: int) -> tuple:
+    """The bit-reversal permutation of an ``n``-point FFT and the twiddle
+    column of each of its stages, built once per size and read-only."""
+    permutation = _bit_reversal_permutation(n)
+    twiddles = []
+    m = 2
+    while m <= n:
+        twiddles.append(np.exp(-2j * np.pi * np.arange(m // 2) / m)[:, None])
+        m *= 2
+    for table in (permutation, *twiddles):
+        table.flags.writeable = False
+    return permutation, tuple(twiddles)
+
+
 def fft_radix2(frames: np.ndarray) -> np.ndarray:
     """Iterative radix-2 decimation-in-time FFT along the last axis.
 
     ``frames`` may be any real or complex array whose last dimension is a
     power of two; the transform is applied independently to each row, so a
-    whole window of MFCC frames goes through in one call.
+    whole window of MFCC frames goes through in one call. The stages run on
+    an ``(n, rows)`` layout, the FFT index outer and the rows contiguous
+    inside, between two preallocated buffers: each butterfly is one
+    multiply by its twiddle, then an add and a subtract, for every row at
+    once. The permutation and twiddles are cached per size.
     """
-    a = np.asarray(frames, dtype=np.complex128)
+    a = np.asarray(frames)
     n = a.shape[-1]
     if not _is_power_of_two(n) or n < 2:
         raise ValueError(f"FFT size must be a power of two >= 2, got {n}")
-    a = a[..., _bit_reversal_permutation(n)]
-    m = 2
-    while m <= n:
-        half = m // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / m)
-        blocks = a.reshape(a.shape[:-1] + (n // m, m))
-        top = blocks[..., :half]
-        bottom = blocks[..., half:] * twiddle
-        a = np.concatenate([top + bottom, top - bottom], axis=-1).reshape(a.shape)
-        m *= 2
-    return a
+    permutation, twiddles = _fft_plan(n)
+    rows = a.reshape(-1, n)
+    count = rows.shape[0]
+    src = np.empty((n, count), dtype=np.complex128)
+    src[...] = rows.T[permutation]
+    dst = np.empty_like(src)
+    product = np.empty((n // 2, count), dtype=np.complex128)
+    for twiddle in twiddles:
+        half = twiddle.shape[0]
+        blocks = src.reshape(n // (2 * half), 2 * half, count)
+        out = dst.reshape(blocks.shape)
+        top = blocks[:, :half]
+        bottom = product.reshape(n // (2 * half), half, count)
+        np.multiply(blocks[:, half:], twiddle, out=bottom)
+        np.add(top, bottom, out=out[:, :half])
+        np.subtract(top, bottom, out=out[:, half:])
+        src, dst = dst, src
+    return np.ascontiguousarray(src.T).reshape(a.shape)
 
 
 def low_pass(series: SampleSeries, alpha: float = DEFAULT_LOW_PASS_ALPHA) -> SampleSeries:
     """Single-pole exponential smoother: y[n] = alpha*x[n] + (1-alpha)*y[n-1].
 
-    y[0] = x[0]. alpha must lie in (0, 1]; alpha = 1 is the identity.
+    y[0] = x[0]. alpha must lie in (0, 1]; alpha = 1 is the identity. The
+    recurrence runs over Python floats, which round each step as float64
+    does.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     x = series.values
-    y = np.empty_like(x)
-    y[0] = x[0]
     if alpha == 1.0:
-        y[:] = x
-    else:
-        decay = 1.0 - alpha
-        acc = x[0]
-        for n in range(1, x.size):
-            acc = alpha * x[n] + decay * acc
-            y[n] = acc
-    return SampleSeries(y, series.sample_rate_hz)
+        return SampleSeries(x.copy(), series.sample_rate_hz)
+    decay = 1.0 - alpha
+    y = itertools.accumulate(x.tolist(), lambda acc, v: alpha * v + decay * acc)
+    return SampleSeries(np.fromiter(y, np.float64, count=x.size), series.sample_rate_hz)
 
 
 def magnitude(tri: TriaxialSeries) -> SampleSeries:

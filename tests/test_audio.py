@@ -1,12 +1,19 @@
 """Tests for the audio feature pipeline, checked against an independent
 rfft/scipy-DCT reference implementation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adlsense
+from adlsense import audio
 from adlsense.audio import (
     AUDIO_VARIANTS,
     audio_feature_names,
@@ -237,3 +244,44 @@ class TestDctRoundTrip:
         recovered = scipy.fft.idct(coeffs, type=2, norm="ortho", axis=1)
         log_e = reference_log_mel_energies(x, 8000.0)
         np.testing.assert_allclose(recovered, log_e, atol=1e-9)
+
+
+# A1 of one fixed window at the rate given in argv, as the hex of its bytes.
+A1_SCRIPT = """
+import sys
+import numpy as np
+from adlsense.audio import audio_feature_vector
+from adlsense.signals import SampleSeries
+x = np.random.default_rng(5).normal(size=4000)
+print(audio_feature_vector(SampleSeries(x, float(sys.argv[1])), "A1").tobytes().hex())
+"""
+
+
+class TestCachedTables:
+    def test_tables_are_read_only_and_the_builder_returns_a_fresh_array(self):
+        cached = audio._cached_filterbank(8000.0)
+        for table in (audio._HAMMING, audio._DCT, cached):
+            assert not table.flags.writeable
+        fbank = mel_filterbank(8000.0)
+        assert fbank.flags.writeable and not np.shares_memory(fbank, cached)
+        np.testing.assert_array_equal(fbank, cached)
+
+    def test_a1_at_an_unsupported_rate_fails_on_every_call(self):
+        series = SampleSeries(np.zeros(4000), 48000.0)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="48000 Hz"):
+                audio_feature_vector(series, "A1")
+
+    def test_switching_rates_gives_the_bits_of_a_fresh_process(self):
+        x = np.random.default_rng(5).normal(size=4000)
+        ours = [audio_feature_vector(SampleSeries(x, rate), "A1").tobytes().hex()
+                for rate in (8000.0, 16000.0, 8000.0)]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(adlsense.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        fresh = {
+            rate: subprocess.run([sys.executable, "-c", A1_SCRIPT, str(rate)], env=env,
+                                 capture_output=True, text=True, check=True).stdout.strip()
+            for rate in (8000.0, 16000.0)
+        }
+        assert ours == [fresh[8000.0], fresh[16000.0], fresh[8000.0]]

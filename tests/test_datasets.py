@@ -743,3 +743,123 @@ class TestParserAgainstReference:
             parse_sensor_log(path)
         assert err.value.line == 3
 
+
+
+BLOCK_AUDIO_LOG = """\
+#adl-sense v1 kind=audio label=bar label_kind=ENVIRONMENT rate_hz=8000
+#window w0
+0.125
+-3.5e-05
+1
+-0.0
+12345.678901234567
+2.5
+#window w 1
+-1e+16
+0.1
+7
+"""
+
+# ACC+MAG rows at 0.8 Hz: four rows make a 5-second window.
+BLOCK_MOTION_LOG = """\
+#adl-sense v1 kind=motion label=walking label_kind=ADL sensors=ACC+MAG rate_hz=0.8
+#window first
+0,0.1,0.2,9.7,-1.5,20.25,3
+1250,0.3,-0.2,9.8,-1.4,20.5,3.125
+2500,0.5,0.0,9.6,-1.25,20,2.75
+3750,0.25,0.125,9.75,-1,19.5,2.5
+#window second
+10,1,2,3,4,5,6
+1260,1,2,3,4,5,6
+2510,1,2,3,4,5,6
+3760,1,2,3,4,5,6
+"""
+
+BLOCK_SIZES = (1, 2, 5, 13, 64)
+
+
+@pytest.fixture
+def reruns(monkeypatch):
+    """Patches the parser's block size (``reruns.block(n)``) and counts its
+    reruns through the per-line path (``reruns.count``)."""
+    import adlsense.datasets as datasets
+
+    class Reruns:
+        count = 0
+
+        def block(self, chars):
+            monkeypatch.setattr(datasets, "BLOCK_CHARS", chars)
+
+    spy = Reruns()
+    per_line = datasets._read_log
+
+    def counted(path):
+        spy.count += 1
+        return per_line(path)
+
+    monkeypatch.setattr(datasets, "_read_log", counted)
+    return spy
+
+
+def assert_same_outcome(path):
+    """The parser's bundles or error equal the per-line reference's."""
+    ours = parse_outcome(parse_sensor_log, path)
+    expected = parse_outcome(reference_parse_sensor_log, path)
+    assert ours[1] == expected[1]
+    if expected[1] is None:
+        assert_same_bundles(ours[0], expected[0])
+
+
+def with_line(text, index, line):
+    """``text`` with ``line`` inserted before its line ``index`` (0-based)."""
+    lines = text.split("\n")
+    return "\n".join(lines[:index] + [line] + lines[index:])
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("log, ids", [(BLOCK_AUDIO_LOG, ["w0", "w 1"]),
+                                          (BLOCK_MOTION_LOG, ["first", "second"])],
+                             ids=["audio", "motion"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_lines_straddling_block_edges_parse_in_bulk(self, tmp_path, reruns, log, ids,
+                                                        newline, final_newline):
+        path = tmp_path / "x.log"
+        write_text(path, log if final_newline else log.rstrip("\n"), newline)
+        for chars in BLOCK_SIZES:
+            reruns.block(chars)
+            assert_same_outcome(path)
+            assert [b.id for b in parse_sensor_log(path)] == ids
+        assert reruns.count == 0
+
+    @pytest.mark.parametrize("text", [
+        BLOCK_AUDIO_LOG.split("\n")[0], BLOCK_AUDIO_LOG.split("\n")[0] + "\n",
+        BLOCK_MOTION_LOG.split("\n")[0] + "\r\n",
+    ])
+    def test_a_header_only_file_has_no_windows(self, tmp_path, reruns, text):
+        path = tmp_path / "x.log"
+        path.write_bytes(text.encode("utf-8"))
+        for chars in BLOCK_SIZES:
+            reruns.block(chars)
+            assert parse_sensor_log(path) == []
+        assert reruns.count == 0
+
+    @pytest.mark.parametrize("log", [BLOCK_AUDIO_LOG, BLOCK_MOTION_LOG], ids=["audio", "motion"])
+    @pytest.mark.parametrize("index, line", [
+        (3, ""),                   # blank line
+        (4, " \t "),               # whitespace-only line
+        (6, "  #window inner"),    # a '#' that does not start a line
+        (3, "0.5 # note"),
+        (3, "#comment"),           # unknown directive
+        (1, "#"),
+        (6, "#window"),            # empty id
+        (6, "#window  \t"),
+        (1, "0.5"),                # a sample before #window
+    ])
+    def test_unusual_lines_are_read_again_per_line(self, tmp_path, reruns, log, index, line):
+        path = tmp_path / "x.log"
+        write_text(path, with_line(log, index, line))
+        for chars in BLOCK_SIZES:
+            reruns.block(chars)
+            assert_same_outcome(path)
+        assert reruns.count == len(BLOCK_SIZES)

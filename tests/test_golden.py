@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adlsense import datasets
 from adlsense.audio import audio_feature_vector
 from adlsense.cli import main
 from adlsense.datasets import parse_sensor_log
@@ -156,10 +157,10 @@ def feature_digests(logs: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
-    """(parsed logs, artifact digests) of one run of the chain."""
+    """(root, parsed logs, artifact digests) of one run of the chain."""
     root = tmp_path_factory.mktemp("chain")
     digests = run_chain(root)
-    return parse_logs(root), digests
+    return root, parse_logs(root), digests
 
 
 @pytest.fixture(scope="module")
@@ -175,15 +176,22 @@ def assert_digests_match(digests, expected, numpy_version):
 
 
 def test_every_artifact_matches_its_golden_digest(chain, golden):
-    assert_digests_match(chain[1], golden["sha256"], golden["numpy"])
+    assert_digests_match(chain[2], golden["sha256"], golden["numpy"])
 
 
 def test_every_parsed_array_matches_its_golden_digest(chain, golden):
-    assert_digests_match(parsed_digests(chain[0]), golden["parsed_sha256"], golden["numpy"])
+    assert_digests_match(parsed_digests(chain[1]), golden["parsed_sha256"], golden["numpy"])
+
+
+def test_parsed_arrays_keep_their_digests_across_block_edges(chain, golden, monkeypatch):
+    # An odd block size puts block edges at other places in every log.
+    monkeypatch.setattr(datasets, "BLOCK_CHARS", 4093)
+    logs = parse_logs(chain[0])
+    assert_digests_match(parsed_digests(logs), golden["parsed_sha256"], golden["numpy"])
 
 
 def test_every_feature_vector_matches_its_golden_digest(chain, golden):
-    assert_digests_match(feature_digests(chain[0]), golden["feature_sha256"], golden["numpy"])
+    assert_digests_match(feature_digests(chain[1]), golden["feature_sha256"], golden["numpy"])
 
 
 if __name__ == "__main__":

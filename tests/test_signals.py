@@ -10,6 +10,7 @@ from adlsense.signals import (
     RawStats,
     SampleSeries,
     TriaxialSeries,
+    _fft_plan,
     fft_radix2,
     low_pass,
     magnitude,
@@ -206,6 +207,13 @@ class TestAgainstReference:
         ours, expected = fft_radix2(frames), reference_fft_radix2(frames)
         assert (ours.dtype, ours.shape) == (expected.dtype, expected.shape)
         assert np.array_equal(bits(ours), bits(expected))
+
+    def test_fft_tables_are_read_only(self):
+        fft_radix2(np.ones(256))
+        permutation, twiddles = _fft_plan(256)
+        assert len(twiddles) == 8
+        for table in (permutation, *twiddles):
+            assert not table.flags.writeable
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -35,7 +35,7 @@ ENV_MODES = ("none", "oracle", "predicted")
 LOG_HEADER_PREFIX = "#adl-sense v1"
 WINDOW_SECONDS = 5.0
 WINDOW_TOLERANCE = 0.1  # motion windows may deviate from 5 s by this fraction
-BLOCK_CHARS = 1 << 17  # log text read and converted at once by the bulk parser
+BLOCK_CHARS = 1 << 15  # log text read and converted at once by the bulk parser
 
 
 @dataclass
@@ -414,7 +414,8 @@ def parse_sensor_log(path) -> list:
     reruns the whole file through the per-line path, which converts and
     checks each sample as it reads it, so a malformed file raises the same
     error, at the same line, as a per-line parse would; only such files are
-    read twice.
+    read twice. The text held at once is one block and one window's stretch
+    of it, whatever the size of the file or its windows.
     """
     try:
         return _read_blocks(path)
@@ -448,17 +449,19 @@ def _read_blocks(path) -> list:
         width = 1 if header["kind"] == "audio" else 1 + 3 * len(header["sensors"])
         carry = ""
         while True:
-            block = fh.read(BLOCK_CHARS)
-            text = carry + block
-            if not block:
-                if not text:
+            text = fh.read(BLOCK_CHARS)
+            if not text:
+                if not carry:
                     break
-                text += "\n"
+                text = "\n"  # ends a last line that had no line break
+            text = carry + text
             cut = text.rfind("\n") + 1
             carry = text[cut:]
             pos = 0  # always the start of a line
             while pos < cut:
                 mark = text.find("#", pos, cut)
+                if mark > pos and text[mark - 1] != "\n":
+                    raise ValueError("'#' inside a line")
                 end = cut if mark < 0 else mark
                 if end > pos:
                     if window_id is None:
@@ -466,8 +469,6 @@ def _read_blocks(path) -> list:
                     chunks.append(_convert_lines(text[pos:end - 1], width))
                 if mark < 0:
                     break
-                if mark > pos and text[mark - 1] != "\n":
-                    raise ValueError("'#' inside a line")
                 line_end = text.index("\n", mark)
                 if not text.startswith("#window", mark, line_end):
                     raise ValueError("unknown directive")
@@ -486,14 +487,16 @@ def _convert_lines(text, width) -> np.ndarray:
     ``float()`` per field. A motion stretch's fields are converted as one
     flat run and reshaped, so every line must first be shown to hold exactly
     ``width - 1`` commas: a 3-field line next to a 5-field one would
-    otherwise reshape into two valid-looking rows."""
+    otherwise reshape into two valid-looking rows. Lines are split as the
+    run consumes them: a list of all the stretch's fields would raise peak
+    memory and save no time."""
     lines = text.split("\n")
     if width == 1:
         return np.fromiter(map(float, lines), np.float64, count=len(lines))
     if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
         raise ValueError("a motion line has the wrong number of fields")
-    fields = text.replace("\n", ",").split(",")
-    return np.fromiter(map(float, fields), np.float64, count=len(fields)).reshape(-1, width)
+    fields = itertools.chain.from_iterable(map(str.split, lines, itertools.repeat(",")))
+    return np.fromiter(map(float, fields), np.float64, count=len(lines) * width).reshape(-1, width)
 
 
 def _join_chunks(chunks, width) -> np.ndarray:
@@ -681,7 +684,7 @@ def write_sensor_log(path, bundles) -> None:
         sensors = tuple(s for s in MOTION_SENSOR_ORDER if s in first.motion)
         rate = first.motion[sensors[0]].sample_rate_hz
         parts.append("sensors=" + "+".join(sensors))
-    parts.append(f"rate_hz={_fmt(rate)}")
+    parts.append(f"rate_hz={_fmt_floats([rate])[0]}")
     if first.environment is not None:
         parts.append(f"environment={shlex.quote(first.environment)}")
     for name, text in (("label", first.label), ("environment", first.environment or "")):
@@ -731,10 +734,6 @@ def _check_window_id(window_id):
 
 def _has_line_break(text):
     return "\n" in text or "\r" in text
-
-
-def _fmt(value: float) -> str:
-    return _fmt_floats([float(value)])[0]
 
 
 def _fmt_floats(values: list) -> list:

@@ -850,6 +850,7 @@ class TestBlockReader:
         (4, " \t "),               # whitespace-only line
         (6, "  #window inner"),    # a '#' that does not start a line
         (3, "0.5 # note"),
+        (3, "0.5 #window inner"),
         (3, "#comment"),           # unknown directive
         (1, "#"),
         (6, "#window"),            # empty id

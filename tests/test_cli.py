@@ -13,7 +13,7 @@ from adlsense.cli import INI_READERS, _section_values, build_parser, ini_field_t
 from adlsense.datasets import WindowBundle, load_dataset, write_sensor_log
 from adlsense.pipeline import PipelineConfig
 from adlsense.signals import SampleSeries
-from adlsense.synth import AdlParams, EnvParams, SynthSpec
+from adlsense.synth import AdlParams, EnvParams, SynthSpec, default_standing_spec, synth_windows
 
 ENV_SPEC = """\
 [corpus]
@@ -442,6 +442,91 @@ class TestPipelineCommands:
                      "--standing-logs", str(work["standing_dir"]),
                      "--config", str(ini),
                      "--out", str(tmp_path / "never.json")]) == 2
+
+
+@pytest.fixture(scope="module")
+def standing_windows():
+    """Two sleeping and two watching-TV windows, each with audio and motion."""
+    return list(synth_windows(default_standing_spec(2, seed=11)))
+
+
+def channel(bundle, kind, wid, **changes):
+    """One channel of ``bundle`` as a window ``wid``, other fields replaced."""
+    return dataclasses.replace(bundle.channel_view(kind), id=wid, **changes)
+
+
+def run_windows(work, tmp_path, files):
+    """``pipeline run`` over logs written from ``files`` (name -> bundles):
+    (exit code, result lines or None when no file was written)."""
+    paths = []
+    for name, bundles in files.items():
+        paths.append(tmp_path / name)
+        write_sensor_log(paths[-1], bundles)
+    out = tmp_path / "results.jsonl"
+    code = main(["pipeline", "run", *map(str, paths), "--pipeline", str(work["pipeline"]),
+                 "--out", str(out)])
+    lines = out.read_text().splitlines() if out.exists() else None
+    return code, lines
+
+
+class TestWindowMerge:
+    """Windows sharing an id across logs are joined into one window."""
+
+    def test_conflicting_labels(self, work, tmp_path, capsys, standing_windows):
+        sleeping, _, watching, _ = standing_windows
+        code, lines = run_windows(work, tmp_path, {
+            "a-audio.log": [channel(sleeping, "audio", "w0")],
+            "b-motion.log": [channel(watching, "motion", "w0")],
+        })
+        assert (code, lines) == (3, None)
+        assert capsys.readouterr().err == "error: window 'w0' appears with conflicting labels\n"
+
+    def test_duplicate_audio_across_files(self, work, tmp_path, capsys, standing_windows):
+        first, second = standing_windows[:2]
+        code, lines = run_windows(work, tmp_path, {
+            "a-audio.log": [channel(first, "audio", "w0")],
+            "b-audio.log": [channel(second, "audio", "w0")],
+        })
+        assert (code, lines) == (3, None)
+        assert capsys.readouterr().err == \
+            "error: window 'w0' has duplicate channels across files\n"
+
+    def test_one_id_twice_in_one_file(self, work, tmp_path, capsys, standing_windows):
+        first, second = standing_windows[:2]
+        code, lines = run_windows(work, tmp_path, {
+            "a-motion.log": [channel(first, "motion", "w0"), channel(second, "motion", "w0")],
+        })
+        assert (code, lines) == (3, None)
+        assert capsys.readouterr().err == \
+            "error: window 'w0' has duplicate channels across files\n"
+
+    def test_conflicting_environments(self, work, tmp_path, capsys, standing_windows):
+        sleeping = standing_windows[0]
+        code, lines = run_windows(work, tmp_path, {
+            "a-audio.log": [channel(sleeping, "audio", "w0")],
+            "b-motion.log": [channel(sleeping, "motion", "w0", environment="kitchen")],
+        })
+        assert (code, lines) == (3, None)
+        assert capsys.readouterr().err == \
+            "error: window 'w0' has conflicting environment annotations\n"
+
+    def test_windows_keep_their_first_appearance_order(self, work, tmp_path, standing_windows):
+        # x's motion is in the last file, after the windows of b-motion.log;
+        # s has audio only and m1, m2 motion only.
+        sleeping, sleeping2, watching, watching2 = standing_windows
+        code, lines = run_windows(work, tmp_path, {
+            "a-audio.log": [channel(sleeping, "audio", "x"), channel(sleeping2, "audio", "s")],
+            "b-motion.log": [channel(watching, "motion", "m1"),
+                             channel(watching2, "motion", "m2")],
+            "c-motion.log": [channel(sleeping, "motion", "x")],
+        })
+        assert code == 0
+        docs = [json.loads(line) for line in lines]
+        assert [(d["window_id"], d["method"]) for d in docs] == [
+            ("x", "fusion_acc_mag_gyro"), ("s", "audio_env"),
+            ("m1", "motion_acc_mag_gyro"), ("m2", "motion_acc_mag_gyro")]
+        assert [d["environment"] is None for d in docs] == [False, False, True, True]
+        assert [d["adl"] is None for d in docs] == [False, True, False, False]
 
 
 class TestUsage:

@@ -24,7 +24,6 @@ from .datasets import (
     WindowBundle,
     build_dataset,
     load_dataset,
-    merge_bundles,
     parse_sensor_log,
     save_dataset,
     stratified_split,
@@ -104,7 +103,6 @@ __all__ = [
     "load_pipeline",
     "low_pass",
     "magnitude",
-    "merge_bundles",
     "motion_feature_names",
     "motion_feature_vector",
     "parse_sensor_log",

@@ -26,9 +26,10 @@ from . import __version__
 from .audio import AUDIO_VARIANTS, audio_feature_names
 from .datasets import (
     DatasetConfig,
+    WindowBundle,
     build_dataset,
+    index_sensor_log,
     load_dataset,
-    merge_bundles,
     parse_sensor_log,
     save_dataset,
     stratified_split,
@@ -233,11 +234,72 @@ def _section_values(path, section, cls, skip=()) -> dict:
     return values
 
 
-def _load_bundles(paths):
-    bundles = []
-    for path in paths:
-        bundles.extend(parse_sensor_log(path))
-    return merge_bundles(bundles)
+def _iter_windows(paths):
+    """The windows of the logs at ``paths``, each joined across the files
+    that hold its channels, in order of first appearance.
+
+    Every file is indexed first, so a window that appears with conflicting
+    labels or environments, or with one channel twice, raises before any
+    sample is converted. The files are then parsed one at a time, and a
+    window is yielded once its last file has been read and every window
+    before it has been yielded: only windows waiting for a partner channel
+    are held, beside the file being parsed.
+    """
+    indexes = [index_sensor_log(path) for path in paths]
+    holders = {}  # window id -> headers of the files holding its channels
+    for header, ids in indexes:
+        for window_id in ids:
+            held = holders.setdefault(window_id, [])
+            if held:
+                _check_partner(window_id, held, header)
+            held.append(header)
+    files_left = {window_id: len(held) for window_id, held in holders.items()}
+    waiting = {}
+
+    def read(path, ids):
+        # Its own frame, so that a yielded window is held by the consumer only.
+        bundles = parse_sensor_log(path)
+        if [bundle.id for bundle in bundles] != ids:
+            raise ValueError(f"{path} changed while it was read: its windows differ "
+                             "from its index")
+        for bundle in bundles:
+            other = waiting.get(bundle.id)
+            waiting[bundle.id] = bundle if other is None else _join_channels(other, bundle)
+            files_left[bundle.id] -= 1
+
+    order = iter(files_left)
+    next_id = next(order, None)
+    for path, (_, ids) in zip(paths, indexes):
+        read(path, ids)
+        while next_id is not None and files_left[next_id] == 0:
+            yield waiting.pop(next_id)
+            next_id = next(order, None)
+
+
+def _check_partner(window_id, held, header):
+    """Raise unless a window held by files with headers ``held`` can take a
+    channel from a file with ``header``: the same label, a new channel kind
+    and no other environment."""
+    first = held[0]
+    if (header["label"], header["label_kind"]) != (first["label"], first["label_kind"]):
+        raise ValueError(f"window {window_id!r} appears with conflicting labels")
+    if any(other["kind"] == header["kind"] for other in held):
+        raise ValueError(f"window {window_id!r} has duplicate channels across files")
+    environments = {other.get("environment") for other in held + [header]} - {None}
+    if len(environments) > 1:
+        raise ValueError(f"window {window_id!r} has conflicting environment annotations")
+
+
+def _join_channels(first, second) -> WindowBundle:
+    """One window from two single-kind bundles of it; the first one's
+    environment wins when both have one."""
+    return WindowBundle(
+        id=first.id, label=first.label, label_kind=first.label_kind,
+        audio=first.audio if first.audio is not None else second.audio,
+        motion=first.motion or second.motion,
+        environment=first.environment if first.environment is not None
+        else second.environment,
+    )
 
 
 def _log_paths(root) -> list:
@@ -373,7 +435,7 @@ def cmd_extract(args) -> int:
                        env_audio_variant=_audio_variant_for_model(env_source))
 
     log_paths = _expand_logs(args.logs)
-    bundles = _load_bundles(log_paths)
+    bundles = list(_iter_windows(log_paths))
     if not bundles:
         raise UsageError("the input logs contain no windows")
     if args.oracle_env:
@@ -536,7 +598,7 @@ def cmd_sweep(args) -> int:
     presets, variants, normalizations, iterations, test_fraction, env_mode = \
         _load_grid(args.config)
     paths = _log_paths(args.corpus)
-    bundles = _load_bundles(paths)
+    bundles = list(_iter_windows(paths))
     if not bundles:
         raise UsageError("the corpus contains no windows")
 
@@ -604,7 +666,7 @@ def _load_pipeline_config(path, seed) -> PipelineConfig:
 def cmd_pipeline_train(args) -> int:
     config = _load_pipeline_config(args.config, args.seed)
     corpora = [_log_paths(root) for root in (args.env_logs, args.adl_logs, args.standing_logs)]
-    pipeline = train_pipeline(*[_load_bundles(paths) for paths in corpora], config)
+    pipeline = train_pipeline(*[list(_iter_windows(paths)) for paths in corpora], config)
     save_pipeline(pipeline, args.out)
     _write_manifest(f"{args.out}.manifest.json", "pipeline train", asdict(config),
                     [str(p) for paths in corpora for p in paths], [Path(args.out)], args.seed)
@@ -619,22 +681,23 @@ def cmd_pipeline_train(args) -> int:
 def cmd_pipeline_run(args) -> int:
     pipeline = load_pipeline(args.pipeline)
     log_paths = _expand_logs(args.logs)
-    bundles = _load_bundles(log_paths)
-    if not bundles:
-        raise UsageError("the input logs contain no windows")
+    # Windows are classified as their files are read; only the result lines
+    # are kept, and nothing is written until every window is classified.
     lines = [
         json.dumps(classify_window(pipeline, bundle).to_dict(), sort_keys=True)
-        for bundle in bundles
+        for bundle in _iter_windows(log_paths)
     ]
+    if not lines:
+        raise UsageError("the input logs contain no windows")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         _write_manifest(f"{args.out}.manifest.json", "pipeline run",
-                        {"pipeline": args.pipeline, "windows": len(bundles)},
+                        {"pipeline": args.pipeline, "windows": len(lines)},
                         log_paths + [args.pipeline], [Path(args.out)],
                         args.seed)
-        print(f"classified {len(bundles)} window(s) to {args.out}")
+        print(f"classified {len(lines)} window(s) to {args.out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -361,39 +361,6 @@ def infer_variant(names) -> str | None:
     return None
 
 
-def merge_bundles(bundles) -> list:
-    """Join bundles sharing a window id into multi-channel bundles.
-
-    Log files carry one channel kind each, so a corpus whose audio and motion
-    live in sibling files comes back as two single-channel bundles per
-    window; this re-joins them by id. Order follows first appearance.
-    """
-    merged = {}
-    order = []
-    for bundle in bundles:
-        other = merged.get(bundle.id)
-        if other is None:
-            merged[bundle.id] = bundle
-            order.append(bundle.id)
-            continue
-        if other.label != bundle.label or other.label_kind != bundle.label_kind:
-            raise ValueError(f"window {bundle.id!r} appears with conflicting labels")
-        if (other.audio is not None and bundle.audio is not None) or \
-                (other.motion and bundle.motion):
-            raise ValueError(f"window {bundle.id!r} has duplicate channels across files")
-        if other.environment is not None and bundle.environment is not None \
-                and other.environment != bundle.environment:
-            raise ValueError(f"window {bundle.id!r} has conflicting environment annotations")
-        merged[bundle.id] = WindowBundle(
-            id=other.id, label=other.label, label_kind=other.label_kind,
-            audio=other.audio if other.audio is not None else bundle.audio,
-            motion=other.motion if other.motion else bundle.motion,
-            environment=other.environment if other.environment is not None
-            else bundle.environment,
-        )
-    return [merged[i] for i in order]
-
-
 # ---------------------------------------------------------------------------
 # Raw log files
 
@@ -402,25 +369,67 @@ def parse_sensor_log(path) -> list:
     """All window bundles in one raw log file.
 
     Malformed content raises :class:`ParseError` naming the offending line.
-    An empty or all-blank file parses to an empty list. The body is read
+    An empty or all-blank file parses to an empty list, and a UTF-8
+    byte-order mark ahead of the header is skipped. The body is read
     ``BLOCK_CHARS`` characters at a time, a partial last line carried over
     to the next block, and ``#window`` lines are found by searching for
     ``#``. Each stretch of sample lines between them is converted in one
     run of Python's ``float()`` (a motion stretch once every line is shown
     to hold the header's field count); finiteness and strictly increasing
-    timestamps are checked once per window array. Anything else, a blank
-    line, a ``#`` inside a line, an unknown directive, an empty window id or
-    a sample ahead of any ``#window``, raises ``ValueError`` on that pass and
-    reruns the whole file through the per-line path, which converts and
-    checks each sample as it reads it, so a malformed file raises the same
-    error, at the same line, as a per-line parse would; only such files are
-    read twice. The text held at once is one block and one window's stretch
-    of it, whatever the size of the file or its windows.
+    timestamps are checked once per window array. Blank and whitespace-only
+    lines are skipped: a stretch holding nothing else is passed over, and a
+    stretch that fails to convert is converted once more without them.
+    Anything else, a ``#`` inside a line, an unknown directive, an empty
+    window id, a sample ahead of any ``#window`` or a stretch that still
+    fails, raises ``ValueError`` on that pass and reruns the whole file
+    through the per-line path, which converts and checks each sample as it
+    reads it, so a malformed file raises the same error, at the same line,
+    as a per-line parse would; only such files are read twice. The text
+    held at once is one block and one window's stretch of it, whatever the
+    size of the file or its windows.
     """
     try:
         return _read_blocks(path)
     except ValueError:
         return _read_log(path)
+
+
+def index_sensor_log(path) -> tuple:
+    """A log's parsed header and the ids of its windows in file order,
+    found without converting a sample; ``(None, [])`` for an all-blank file.
+
+    The body is read in ``BLOCK_CHARS`` blocks like the parser's, and a
+    ``#`` that only whitespace precedes on its line is a directive, as it is
+    to the per-line parser. A directive other than ``#window``, an empty id
+    and a ``#`` inside a line are passed over: the parser refuses those
+    files, with the error and line it always gave. So for every log
+    :func:`parse_sensor_log` accepts, the ids are those of its bundles. A
+    file that is not UTF-8 gives what was read before the decoder met the
+    bad bytes, perhaps no header, and parsing it raises the decoding error.
+    """
+    header, ids = None, []
+    try:
+        with _open_log(path) as fh:
+            header = _read_header(path, fh)
+            if header is None:
+                return header, ids
+            for text in _line_blocks(fh):
+                mark = text.find("#")
+                while mark >= 0:
+                    line_end = text.index("\n", mark)
+                    line_start = text.rfind("\n", 0, mark) + 1
+                    if not text[line_start:mark].strip():
+                        window_id = _window_id(text[mark:line_end])
+                        if window_id:
+                            ids.append(window_id)
+                    mark = text.find("#", line_end)
+    except UnicodeDecodeError:
+        pass
+    return header, ids
+
+
+def _open_log(path):
+    return open(path, encoding="utf-8-sig")
 
 
 def _read_header(path, fh):
@@ -429,6 +438,33 @@ def _read_header(path, fh):
     if not first.strip() and not any(line.strip() for line in fh):
         return None
     return _parse_header(path, first.rstrip("\n"))
+
+
+def _line_blocks(fh):
+    """The rest of an open log as blocks of whole lines, each ending in a
+    line break: ``BLOCK_CHARS`` characters read at a time, a partial last
+    line carried over to the next block."""
+    carry = ""
+    while True:
+        text = fh.read(BLOCK_CHARS)
+        if not text:
+            if carry:
+                yield carry + "\n"  # ends a last line that had no line break
+            return
+        text = carry + text
+        cut = text.rfind("\n") + 1
+        carry = text[cut:]
+        if cut:
+            yield text[:cut]
+
+
+def _window_id(directive):
+    """The id a directive names, or None when it is no ``#window`` line.
+    ``directive`` runs from the line's ``#`` to its end; the id is the rest
+    of the line after ``#window``, stripped, and may be empty."""
+    if not directive.startswith("#window"):
+        return None
+    return directive[len("#window"):].strip()
 
 
 def _read_blocks(path) -> list:
@@ -442,38 +478,32 @@ def _read_blocks(path) -> list:
         if window_id is not None:
             bundles.append(_bundle_from_samples(header, window_id, _join_chunks(chunks, width)))
 
-    with open(path, encoding="utf-8") as fh:
+    with _open_log(path) as fh:
         header = _read_header(path, fh)
         if header is None:
             return []
         width = 1 if header["kind"] == "audio" else 1 + 3 * len(header["sensors"])
-        carry = ""
-        while True:
-            text = fh.read(BLOCK_CHARS)
-            if not text:
-                if not carry:
-                    break
-                text = "\n"  # ends a last line that had no line break
-            text = carry + text
-            cut = text.rfind("\n") + 1
-            carry = text[cut:]
+        for text in _line_blocks(fh):
             pos = 0  # always the start of a line
-            while pos < cut:
-                mark = text.find("#", pos, cut)
+            while pos < len(text):
+                mark = text.find("#", pos)
                 if mark > pos and text[mark - 1] != "\n":
                     raise ValueError("'#' inside a line")
-                end = cut if mark < 0 else mark
+                end = len(text) if mark < 0 else mark
                 if end > pos:
-                    if window_id is None:
-                        raise ValueError("sample line before any #window")
-                    chunks.append(_convert_lines(text[pos:end - 1], width))
+                    stretch = text[pos:end - 1]
+                    if stretch.strip():  # a stretch of blank lines is passed over
+                        if window_id is None:
+                            raise ValueError("sample line before any #window")
+                        chunks.append(_convert_lines(stretch, width))
                 if mark < 0:
                     break
                 line_end = text.index("\n", mark)
-                if not text.startswith("#window", mark, line_end):
+                next_id = _window_id(text[mark:line_end])
+                if next_id is None:
                     raise ValueError("unknown directive")
                 finish_window()
-                window_id = text[mark + len("#window"):line_end].strip()
+                window_id = next_id
                 chunks = []
                 if not window_id:
                     raise ValueError("missing window id")
@@ -484,13 +514,25 @@ def _read_blocks(path) -> list:
 
 def _convert_lines(text, width) -> np.ndarray:
     """The ``(lines, width)`` samples of newline-separated sample lines, one
-    ``float()`` per field. A motion stretch's fields are converted as one
-    flat run and reshaped, so every line must first be shown to hold exactly
-    ``width - 1`` commas: a 3-field line next to a 5-field one would
-    otherwise reshape into two valid-looking rows. Lines are split as the
-    run consumes them: a list of all the stretch's fields would raise peak
-    memory and save no time."""
+    ``float()`` per field. A stretch that fails is converted once more
+    without its blank and whitespace-only lines, which a file may hold
+    anywhere; only if that fails too is the error raised."""
     lines = text.split("\n")
+    try:
+        return _convert(lines, width)
+    except ValueError:
+        kept = [line for line in lines if line.strip()]
+        if len(kept) == len(lines):
+            raise
+        return _convert(kept, width)
+
+
+def _convert(lines, width) -> np.ndarray:
+    """A motion stretch's fields are converted as one flat run and reshaped,
+    so every line must first be shown to hold exactly ``width - 1`` commas:
+    a 3-field line next to a 5-field one would otherwise reshape into two
+    valid-looking rows. Lines are split as the run consumes them: a list of
+    all the stretch's fields would raise peak memory and save no time."""
     if width == 1:
         return np.fromiter(map(float, lines), np.float64, count=len(lines))
     if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
@@ -527,7 +569,7 @@ def _read_log(path) -> list:
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=window_line) from exc
 
-    with open(path, encoding="utf-8") as fh:
+    with _open_log(path) as fh:
         header = _read_header(path, fh)
         if header is None:
             return []
@@ -536,11 +578,12 @@ def _read_log(path) -> list:
             if not text:
                 continue
             if text[0] == "#":
-                if not text.startswith("#window"):
+                next_id = _window_id(text)
+                if next_id is None:
                     raise ParseError(f"unknown directive {text.split()[0]!r}",
                                      path=path, line=lineno)
                 finish_window()
-                window_id = text[len("#window"):].strip()
+                window_id = next_id
                 window_line = lineno
                 samples = []
                 if not window_id:

@@ -136,6 +136,8 @@ def fft_radix2(frames: np.ndarray) -> np.ndarray:
     once. The permutation and twiddles are cached per size.
     """
     a = np.asarray(frames)
+    if a.ndim == 0:
+        raise ValueError("FFT input must have at least one dimension, got a scalar")
     n = a.shape[-1]
     if not _is_power_of_two(n) or n < 2:
         raise ValueError(f"FFT size must be a power of two >= 2, got {n}")

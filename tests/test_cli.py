@@ -3,14 +3,16 @@
 import configparser
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adlsense.cli
 import adlsense.network
 from adlsense.cli import INI_READERS, _section_values, build_parser, ini_field_types, main
-from adlsense.datasets import WindowBundle, load_dataset, write_sensor_log
+from adlsense.datasets import WindowBundle, load_dataset, parse_sensor_log, write_sensor_log
 from adlsense.pipeline import PipelineConfig
 from adlsense.signals import SampleSeries
 from adlsense.synth import AdlParams, EnvParams, SynthSpec, default_standing_spec, synth_windows
@@ -527,6 +529,80 @@ class TestWindowMerge:
             ("m1", "motion_acc_mag_gyro"), ("m2", "motion_acc_mag_gyro")]
         assert [d["environment"] is None for d in docs] == [False, False, True, True]
         assert [d["adl"] is None for d in docs] == [False, True, False, False]
+
+
+class TestStreamingRun:
+    """`pipeline run` classifies windows as their files are read."""
+
+    def test_peak_memory_does_not_grow_with_the_corpus(self, work, tmp_path, standing_windows):
+        # Each pair of files holds 8 one-second fusion windows; the large
+        # corpus has four pairs, the small one one.
+        sleeping = standing_windows[:2]
+
+        def corpus(name, pairs):
+            root = tmp_path / name
+            root.mkdir()
+            for j in range(pairs):
+                windows = [dataclasses.replace(w, id=f"p{j}-{k}",
+                                               audio=SampleSeries(w.audio.values[:8000], 8000.0))
+                           for k, w in enumerate(sleeping * 4)]
+                for kind in ("audio", "motion"):
+                    write_sensor_log(root / f"p{j}-{kind}.log",
+                                     [w.channel_view(kind) for w in windows])
+            return root
+
+        def peak(root):
+            tracemalloc.start()
+            try:
+                assert main(["pipeline", "run", str(root), "--pipeline", str(work["pipeline"]),
+                             "--out", str(tmp_path / "results.jsonl")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = corpus("small", 1), corpus("large", 4)
+        peak(small)  # fills the feature layers' caches
+        small_peak, large_peak = peak(small), peak(large)
+        assert len((tmp_path / "results.jsonl").read_text().splitlines()) == 32
+        assert large_peak <= 1.5 * small_peak, f"{large_peak / small_peak:.2f}x"
+
+    def test_a_log_that_changes_after_its_index_is_a_data_error(self, work, tmp_path, capsys,
+                                                                  monkeypatch, standing_windows):
+        log = tmp_path / "a-audio.log"
+        write_sensor_log(log, [channel(w, "audio", f"w{i}")
+                               for i, w in enumerate(standing_windows[:2])])
+        parse = adlsense.cli.parse_sensor_log
+        monkeypatch.setattr(adlsense.cli, "parse_sensor_log", lambda path: parse(path)[:1])
+        out = tmp_path / "results.jsonl"
+        assert main(["pipeline", "run", str(log), "--pipeline", str(work["pipeline"]),
+                     "--out", str(out)]) == 3
+        assert "changed while it was read" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_log_that_is_not_utf8_keeps_the_parser_error(self, work, tmp_path, capsys,
+                                                         standing_windows):
+        good, bad = tmp_path / "a-audio.log", tmp_path / "b-audio.log"
+        write_sensor_log(good, [channel(standing_windows[0], "audio", "w0")])
+        write_sensor_log(bad, [channel(standing_windows[1], "audio", "w1")])
+        bad.write_bytes(bad.read_bytes()[:20_000] + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError) as err:
+            parse_sensor_log(bad)
+        assert main(["pipeline", "run", str(good), str(bad),
+                     "--pipeline", str(work["pipeline"])]) == 3
+        assert capsys.readouterr() == ("", f"error: {err.value}\n")
+
+    def test_a_bad_header_in_a_later_log_is_reported_first(self, work, tmp_path, capsys,
+                                                          standing_windows):
+        # Every file is indexed before any is parsed, so a header fault in b
+        # wins over a sample fault in a.
+        a, b = tmp_path / "a-audio.log", tmp_path / "b-audio.log"
+        write_sensor_log(a, [channel(standing_windows[0], "audio", "w0")])
+        a.write_text(a.read_text() + "oops\n")
+        b.write_text("#adl-sense v1 kind=video label=x label_kind=ADL rate_hz=100\n")
+        assert main(["pipeline", "run", str(a), str(b),
+                     "--pipeline", str(work["pipeline"])]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {b}:1: kind must be audio or motion, got 'video'\n"
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 """Window bundles, log parsing, dataset assembly, splitting, CSV round-trips."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import reference_parse_sensor_log
 
+from adlsense import datasets
 from adlsense.audio import audio_feature_names, audio_feature_vector
 from adlsense.datasets import (
     DatasetConfig,
     LabeledDataset,
     WindowBundle,
     build_dataset,
+    index_sensor_log,
     infer_variant,
     load_dataset,
     parse_sensor_log,
@@ -646,14 +649,16 @@ def draw_log(data):
 
 
 def render_log(data, header, windows):
-    """Log text with LF or CRLF line ends and blank lines scattered through it."""
-    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
-    blanks = data.draw(st.sampled_from([0.0, 0.01]), label="blank rate")
+    """Log text with LF, CRLF or CR line ends, blank lines scattered through
+    it and ``#window`` lines that may be indented."""
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="newline")
+    blanks = data.draw(st.sampled_from([0.0, 0.01, 0.2]), label="blank rate")
+    indent = data.draw(st.sampled_from(["", "", " ", "\t "]), label="indent")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="blank seed"))
     lines = [header]
     for window_id, samples in windows:
         if window_id is not None:  # None: samples ahead of any #window line
-            lines.append(f"#window {window_id}")
+            lines.append(f"{indent}#window {window_id}")
         lines.extend(samples)
     out = []
     for line in lines:
@@ -705,6 +710,61 @@ def mutate(data, kind, width, windows):
     windows = list(windows)
     windows[w] = (window_id, lines)
     return windows
+
+
+class TestWindowIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ids_are_those_the_parser_returns(self, tmp_path_factory, data):
+        header, kind, width, windows = draw_log(data)
+        form = data.draw(st.sampled_from(["w {}", "w#{}", "#w{}", "  w {}\t"]), label="id form")
+        windows = [(form.format(w), lines) for w, (_, lines) in enumerate(windows)]
+        path = tmp_path_factory.getbasetemp() / "indexed.log"
+        path.write_bytes(render_log(data, header, windows).encode("utf-8"))
+        ids = [b.id for b in reference_parse_sensor_log(path)]
+        chars = data.draw(st.sampled_from((1, 2, 5, 13, 64, datasets.BLOCK_CHARS)), label="block")
+        with mock.patch.object(datasets, "BLOCK_CHARS", chars):
+            assert [b.id for b in parse_sensor_log(path)] == ids
+            assert index_sensor_log(path) == (datasets._parse_header(path, header), ids)
+
+    def test_no_sample_is_converted(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.log"
+        write_text(path, BLOCK_MOTION_LOG)
+
+        def refuse(*args):
+            raise AssertionError("the index converted a sample")
+
+        for name in ("_convert", "_parse_sample", "_read_blocks", "_read_log"):
+            monkeypatch.setattr(datasets, name, refuse)
+        header, ids = index_sensor_log(path)
+        assert (header["kind"], header["sensors"], ids) == ("motion", ("ACC", "MAG"),
+                                                            ["first", "second"])
+
+    def test_an_all_blank_file_has_no_header(self, tmp_path):
+        path = tmp_path / "x.log"
+        for text in ("", "\n", "  \n\t\n\n"):
+            write_text(path, text)
+            assert index_sensor_log(path) == (None, [])
+
+    def test_a_bad_header_raises_the_parser_error(self, tmp_path):
+        path = tmp_path / "x.log"
+        write_text(path, "#adl-sense v1 kind=video label=x label_kind=ADL rate_hz=100\n#window a\n")
+        expected = parse_outcome(parse_sensor_log, path)
+        assert parse_outcome(index_sensor_log, path) == expected
+
+    def test_lines_that_the_parser_refuses_are_passed_over(self, tmp_path):
+        path = tmp_path / "x.log"
+        text = with_line(with_line(BLOCK_AUDIO_LOG, 3, "#comment"), 3, "0.5 #window x")
+        write_text(path, with_line(text, 3, "#window"))
+        assert index_sensor_log(path)[1] == ["w0", "w 1"]
+
+    def test_a_file_that_is_not_utf8_is_left_to_the_parser(self, tmp_path):
+        path = tmp_path / "x.log"
+        write_text(path, BLOCK_AUDIO_LOG)
+        path.write_bytes(path.read_bytes().replace(b"#window w 1", b"#window w 1\xff"))
+        assert index_sensor_log(path) == (None, [])  # the first decoded chunk holds it
+        with pytest.raises(UnicodeDecodeError):
+            parse_sensor_log(path)
 
 
 class TestParserAgainstReference:
@@ -782,8 +842,6 @@ BLOCK_SIZES = (1, 2, 5, 13, 64)
 def reruns(monkeypatch):
     """Patches the parser's block size (``reruns.block(n)``) and counts its
     reruns through the per-line path (``reruns.count``)."""
-    import adlsense.datasets as datasets
-
     class Reruns:
         count = 0
 
@@ -846,8 +904,8 @@ class TestBlockReader:
 
     @pytest.mark.parametrize("log", [BLOCK_AUDIO_LOG, BLOCK_MOTION_LOG], ids=["audio", "motion"])
     @pytest.mark.parametrize("index, line", [
-        (3, ""),                   # blank line
-        (4, " \t "),               # whitespace-only line
+        (3, ""),                   # blank line: skipped in bulk, no rerun
+        (4, " \t "),               # whitespace-only line: the same
         (6, "  #window inner"),    # a '#' that does not start a line
         (3, "0.5 # note"),
         (3, "0.5 #window inner"),
@@ -863,4 +921,46 @@ class TestBlockReader:
         for chars in BLOCK_SIZES:
             reruns.block(chars)
             assert_same_outcome(path)
-        assert reruns.count == len(BLOCK_SIZES)
+        assert reruns.count == (len(BLOCK_SIZES) if line.strip() else 0)
+
+    @pytest.mark.parametrize("log", [BLOCK_AUDIO_LOG, BLOCK_MOTION_LOG], ids=["audio", "motion"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_blank_lines_anywhere_parse_in_bulk(self, tmp_path, reruns, log, newline):
+        # Blank runs after the header, between samples, around #window lines
+        # and at the end, so that block edges fall inside and around them.
+        lines = log.rstrip("\n").split("\n")
+        text = "\n".join(line + "\n \t\n" if i % 2 else line + "\n\n\n"
+                         for i, line in enumerate(lines)) + "  \n"
+        path = tmp_path / "x.log"
+        write_text(path, text, newline)
+        for chars in BLOCK_SIZES + (datasets.BLOCK_CHARS,):
+            reruns.block(chars)
+            assert_same_outcome(path)
+        assert reruns.count == 0
+
+    def test_a_trailing_blank_line_costs_no_rerun(self, tmp_path, reruns):
+        path = tmp_path / "x.log"
+        write_sensor_log(path, [audio_bundle(seed=i, wid=f"w{i}") for i in range(3)])
+        path.write_bytes(path.read_bytes() + b"\n")
+        assert_same_outcome(path)
+        assert reruns.count == 0
+
+    def test_a_window_of_blank_lines_is_still_empty(self, tmp_path, reruns):
+        path = tmp_path / "x.log"
+        write_text(path, BLOCK_AUDIO_LOG.split("\n")[0] + "\n#window w0\n\n  \n#window w1\n0.5\n")
+        assert_same_outcome(path)
+        with pytest.raises(ParseError, match="window 'w0' has no samples") as err:
+            parse_sensor_log(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("log", [BLOCK_AUDIO_LOG, BLOCK_MOTION_LOG], ids=["audio", "motion"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, reruns, log):
+        # The frozen reference parser refuses such a file, so it is compared
+        # with the same log written without the mark.
+        plain, marked = tmp_path / "plain.log", tmp_path / "marked.log"
+        write_text(plain, log)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert_same_bundles(parse_sensor_log(marked), parse_sensor_log(plain))
+        assert index_sensor_log(marked) == index_sensor_log(plain)
+        assert reruns.count == 0
+        assert_same_bundles(datasets._read_log(marked), datasets._read_log(plain))

@@ -84,6 +84,10 @@ class TestFft:
         with pytest.raises(ValueError):
             fft_radix2(np.ones(6))
 
+    def test_rejects_a_scalar(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            fft_radix2(np.float64(1))
+
     def test_batched_rows_transform_independently(self):
         rng = np.random.default_rng(11)
         frames = rng.normal(size=(5, 32))
